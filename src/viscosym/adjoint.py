@@ -18,7 +18,7 @@ from typing import Sequence
 from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add,
                    eval_numeric, func, mul, pow_, sub, substitute)
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
-                     mat_apply_expr, mat_mul_expr, mat_mul_rat, mat_is_zero)
+                     mat_mul_expr, mat_mul_rat, mat_is_zero)
 from .spaces import s as S_PARAM
 from .spaces import base_space
 from .vector_fields import StructureConstants, combo_text, commutator_table
@@ -76,16 +76,6 @@ class AdjointMatrix:
                           self.labels)
 
 
-def _rat_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
     """Closed form of exp(param * A) for a rational matrix A: polynomial when
     A is nilpotent, sin/cos resummation when A^3 = -w^2 A with rational w."""
@@ -117,12 +107,12 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
     if lam is not None and lam < 0:
         scaled = [[v * lam for v in row] for row in a]
         if a3 == scaled:
-            omega = _rat_sqrt(-lam)
-            if omega is not None:
+            omega = pow_(Num(-lam), Fraction(1, 2))
+            if isinstance(omega, Num):
                 # exp(pA) = I + sin(w p)/w A + (1 - cos(w p))/w^2 A^2
-                sin_c = mul(func("sin", mul(Num(omega), param)), Num(1 / omega))
-                cos_c = mul(sub(ONE, func("cos", mul(Num(omega), param))),
-                            Num(1 / omega ** 2))
+                sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
+                cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
+                            Num(1 / omega.value ** 2))
                 rows = []
                 for i in range(n):
                     row = []

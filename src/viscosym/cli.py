@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import adjoint, flows, reduction, vector_fields as vf
-from .expr import ExprError, eval_numeric, substitute, to_text
+from .expr import (ExprError, Num, ZERO, substitute, substitute_functions,
+                   to_text)
 from .spaces import a as A_SYM, b as B_SYM, base_space
 
 __all__ = ["main", "run"]
@@ -31,6 +33,7 @@ __all__ = ["main", "run"]
 USAGE_ERROR = 2
 AUDIT_MISMATCH = 1
 PUBLISHED_DETERMINING_COUNT = 227
+_GENERATOR_KEYS = ("xi1", "xi2", "xi3", "phi1", "phi2")
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,15 @@ def _emit_json(payload) -> None:
     _emit(json.dumps(payload, indent=2))
 
 
+def _render(payload: dict, config: RunConfig) -> None:
+    """A flat payload as JSON, or as a markdown field | value table."""
+    if config.fmt == "markdown":
+        _emit(_md_table(["field", "value"],
+                        [[k, json.dumps(v)] for k, v in payload.items()]))
+    else:
+        _emit_json(payload)
+
+
 def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     lines = ["| " + " | ".join(headers) + " |",
              "| " + " | ".join("---" for _ in headers) + " |"]
@@ -57,29 +69,31 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _finite(value: float | None, what: str) -> float | None:
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_generator(spec: str) -> vf.Generator:
     spec = spec.strip()
     if spec.startswith("{"):
         fields = json.loads(spec)
+        if not all(key in _GENERATOR_KEYS and isinstance(value, str)
+                   for key, value in fields.items()):
+            raise ValueError("a JSON generator maps some of the keys "
+                             f"{', '.join(_GENERATOR_KEYS)} to expression strings")
         sp = base_space()
-        return vf.Generator(*[sp.parse(fields.get(name, "0"))
-                              for name in ("xi1", "xi2", "xi3", "phi1", "phi2")],
+        return vf.Generator(*[sp.parse(fields.get(name, "0")) for name in _GENERATOR_KEYS],
                             label=None)
     return vf.parse_basis_combination(spec)
 
 
 def _with_params(expr, config: RunConfig):
-    bindings = {}
-    if config.param_a is not None:
-        bindings[A_SYM] = _as_expr_number(config.param_a)
-    if config.param_b is not None:
-        bindings[B_SYM] = _as_expr_number(config.param_b)
+    bindings = {sym: Num(Fraction(value).limit_denominator(10 ** 9))
+                for sym, value in ((A_SYM, config.param_a), (B_SYM, config.param_b))
+                if value is not None}
     return substitute(expr, bindings) if bindings else expr
-
-
-def _as_expr_number(value: float):
-    from .expr import Num
-    return Num(Fraction(value).limit_denominator(10 ** 9))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +154,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
         "numeric_max": report.numeric_max,
         "tol": tol,
     }
-    if config.fmt == "markdown":
-        _emit(_md_table(["field", "value"],
-                        [[k, json.dumps(v)] for k, v in payload.items()]))
-    else:
-        _emit_json(payload)
+    _render(payload, config)
     return 0 if report.ok else 1
 
 
@@ -152,7 +162,6 @@ def _cmd_determining(args, config: RunConfig) -> int:
     system = vf.determining_equations()
     _, fns = vf.general_ansatz()
     bodies = vf.symmetry_family_bodies(fns)
-    from .expr import ZERO, substitute_functions
     solution_ok = all(substitute_functions(eq, bodies) == ZERO
                       for _, eq in system.records)
     payload = {
@@ -177,7 +186,7 @@ def _cmd_determining(args, config: RunConfig) -> int:
 
 
 def _cmd_optimal(args, config: RunConfig) -> int:
-    coeffs = [float(part) for part in args.coeffs.split(",")]
+    coeffs = [_finite(float(part), "--coeffs") for part in args.coeffs.split(",")]
     result = adjoint.normalize(coeffs)
     payload = {
         "class": result.cls.class_id,
@@ -188,17 +197,13 @@ def _cmd_optimal(args, config: RunConfig) -> int:
         "representative": list(result.cls.representative),
         "scale": result.scale,
     }
-    if config.fmt == "markdown":
-        _emit(_md_table(["field", "value"],
-                        [[k, json.dumps(v)] for k, v in payload.items()]))
-    else:
-        _emit_json(payload)
+    _render(payload, config)
     return 0
 
 
 def _published_row_index(label: str) -> int | None:
     normalized = label.replace(" ", "")
-    for i, (row_label, _, _, _) in enumerate(reduction._PUBLISHED_ROWS, start=1):
+    for i, (row_label, _, _) in enumerate(reduction.published_similarity_rows(), start=1):
         if row_label.replace(" ", "") == normalized:
             return i
     return None
@@ -231,11 +236,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
         payload["match"] = audit_row.match
         if not audit_row.match:
             exit_code = AUDIT_MISMATCH
-    if config.fmt == "markdown":
-        _emit(_md_table(["field", "value"],
-                        [[k, json.dumps(v)] for k, v in payload.items()]))
-    else:
-        _emit_json(payload)
+    _render(payload, config)
     return exit_code if report.passed else 1
 
 
@@ -256,38 +257,42 @@ def _cmd_verify_reduction(args, config: RunConfig) -> int:
         "tol": report.tol,
         "passed": report.passed,
     }
-    if config.fmt == "markdown":
-        _emit(_md_table(["field", "value"],
-                        [[k, json.dumps(v)] for k, v in payload.items()]))
-    else:
-        _emit_json(payload)
+    _render(payload, config)
     return 0 if report.passed else 1
 
 
 def _read_seeds(path: str) -> list[tuple[float, float, float]]:
+    """(x, y, t) rows of three finite numbers from a JSON list of rows or a
+    CSV/whitespace file with one row per line."""
     text = Path(path).read_text()
     if path.endswith(".json"):
-        data = json.loads(text)
-        return [tuple(map(float, seed)) for seed in data]
-    seeds = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [float(p) for p in line.replace(",", " ").split()]
-        if len(parts) != 3:
-            raise ValueError(f"seed line needs three numbers: {line!r}")
-        seeds.append(tuple(parts))
-    return seeds
+        rows = json.loads(text, parse_int=float)   # a huge integer reads as inf
+        if not isinstance(rows, list):
+            raise ValueError("a JSON seed file holds a list of [x, y, t] rows")
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3
+                    and all(type(v) is float for v in row)):
+                raise ValueError(f"seed row needs three numbers: {json.dumps(row)}")
+    else:
+        rows = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [float(p) for p in line.replace(",", " ").split()]
+            if len(parts) != 3:
+                raise ValueError(f"seed line needs three numbers: {line!r}")
+            rows.append(parts)
+    return [tuple(_finite(v, "seed coordinates") for v in row) for row in rows]
 
 
 def _cmd_flow(args, config: RunConfig) -> int:
     gen = _parse_generator(args.generator)
     fm = flows.flow_map(gen)
     lo_s, hi_s, n_s = args.eps.split(":")
-    samples = flows.sample_flow(fm, _read_seeds(args.seeds),
-                                (float(lo_s), float(hi_s), int(n_s)),
-                                project_xy=args.project_xy)
+    seeds = _read_seeds(args.seeds)
+    lo, hi = (_finite(float(v), "--eps bounds") for v in (lo_s, hi_s))
+    samples = flows.sample_flow(fm, seeds, (lo, hi, int(n_s)), project_xy=args.project_xy)
     if config.fmt == "json":
         columns = ["seed_id", "eps", "x", "y"] + ([] if args.project_xy else ["t"])
         rows = [[s.seed_id, s.eps, s.x, s.y] + ([] if args.project_xy else [s.t])
@@ -379,9 +384,10 @@ _COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(fmt=args.format, seed=args.seed, tol=args.tol,
-                       param_a=args.param_a, param_b=args.param_b)
     try:
+        config = RunConfig(fmt=args.format, seed=args.seed, tol=_finite(args.tol, "--tol"),
+                           param_a=_finite(args.param_a, "--param-a"),
+                           param_b=_finite(args.param_b, "--param-b"))
         return _COMMANDS[args.command](args, config)
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

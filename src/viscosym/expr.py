@@ -21,6 +21,11 @@ sin(0) -> 0, cos(0) -> 1, parity normalisation of sin/cos/arctan and
 angle addition for syntactic sums.  That is enough to make rotation
 flows and their group law close symbolically.
 
+Two helpers serve every module that takes trees apart: ``rebuild`` walks a
+tree through the canonical constructors with a per-node replacement hook
+(substitution, canonicalization and chart rewrites are all hooks), and
+``term_map`` gives a sum's monomials with their rational coefficients.
+
 All values are immutable and hashable; every operation is a pure
 function, so expressions can be shared freely across threads.
 """
@@ -42,7 +47,7 @@ __all__ = [
     "Pow", "Mul", "Add",
     "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS",
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational",
-    "canonicalize", "to_text", "atoms", "contains",
+    "canonicalize", "rebuild", "term_map", "to_text", "atoms",
     "diff_atom", "total_derivative", "substitute", "substitute_functions",
     "eval_numeric", "equals", "max_abs_sample", "reduce_quotients",
 ]
@@ -395,15 +400,7 @@ def add(*eargs: Expr) -> Expr:
     """Canonical sum of already-canonical expressions."""
     acc: dict[tuple[Expr, ...], Fraction] = {}
     for e in eargs:
-        for term in _terms(_coerce(e)):
-            coeff, factors = _as_term(term)
-            if coeff == 0:
-                continue
-            newc = acc.get(factors, Fraction(0)) + coeff
-            if newc == 0:
-                acc.pop(factors, None)
-            else:
-                acc[factors] = newc
+        _merge_into(acc, _coerce(e))
     _pythagorean_reduce(acc)
     return _rebuild_add(acc)
 
@@ -429,8 +426,7 @@ def reduce_quotients(e: Expr) -> Expr:
     e = _coerce(e)
     if not isinstance(e, Add):
         return e
-    acc: dict[tuple[Expr, ...], Fraction] = {}
-    _merge_into(acc, e)
+    acc = term_map(e)
     changed = True
     while changed:
         changed = _quotient_reduce(acc)
@@ -514,6 +510,13 @@ def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> None:
                 break
             if changed:
                 break
+
+
+def term_map(e: Expr) -> dict[tuple[Expr, ...], Fraction]:
+    """Map the factor tuple of each monomial of e to its rational coefficient."""
+    acc: dict[tuple[Expr, ...], Fraction] = {}
+    _merge_into(acc, _coerce(e))
+    return acc
 
 
 def _merge_into(acc: dict[tuple[Expr, ...], Fraction], term: Expr) -> None:
@@ -840,19 +843,41 @@ def canonicalize(e: Expr) -> Expr:
     Canonical-by-construction expressions are fixed points; this is also the
     safe entry for hand-assembled node trees.
     """
-    if isinstance(e, (Num, Sym, Jet)):
-        return e
-    if isinstance(e, Func):
-        return func(e.fn, *[canonicalize(a) for a in e.args])
-    if isinstance(e, Unknown):
-        return unknown(e.fn, e.derivs, tuple(canonicalize(a) for a in e.args))
-    if isinstance(e, Pow):
-        return pow_(canonicalize(e.base), e.exp)
-    if isinstance(e, Mul):
-        return mul(Num(e.coeff), *[canonicalize(f) for f in e.factors])
-    if isinstance(e, Add):
-        return add(*[canonicalize(t) for t in e.terms])
-    raise TypeError(f"not an Expr: {e!r}")
+    return rebuild(e, lambda node: None)
+
+
+def rebuild(e: Expr, fn: Callable[[Expr], Expr | None],
+            descend_unknown_args: bool = True) -> Expr:
+    """Rebuild e bottom-up through the canonical constructors.
+
+    ``fn`` sees every non-Num node before its children.  When it returns an
+    expression, that replaces the node as is; when it returns None, the
+    node's children are rebuilt.  Opaque-function arguments are kept as they
+    are when ``descend_unknown_args`` is false.
+    """
+    def walk(node: Expr) -> Expr:
+        if isinstance(node, Num):
+            return node
+        repl = fn(node)
+        if repl is not None:
+            return repl
+        if isinstance(node, (Sym, Jet)):
+            return node
+        if isinstance(node, Unknown):
+            if not descend_unknown_args:
+                return node
+            return unknown(node.fn, node.derivs, tuple(walk(a) for a in node.args))
+        if isinstance(node, Func):
+            return func(node.fn, *[walk(a) for a in node.args])
+        if isinstance(node, Pow):
+            return pow_(walk(node.base), node.exp)
+        if isinstance(node, Mul):
+            return mul(Num(node.coeff), *[walk(f) for f in node.factors])
+        if isinstance(node, Add):
+            return add(*[walk(t) for t in node.terms])
+        raise TypeError(f"not an Expr: {node!r}")
+
+    return walk(e)
 
 
 # ---------------------------------------------------------------------------
@@ -886,38 +911,6 @@ def atoms(e: Expr) -> Iterator[Expr]:
     yield from walk(e)
 
 
-def contains(e: Expr, atom: Expr) -> bool:
-    return any(a == atom for a in atoms(e))
-
-
-def _rewrite_atoms(e: Expr, fn: Callable[[Expr], Expr | None],
-                   descend_unknown_args: bool = True) -> Expr:
-    """Replace atoms by fn(atom) (None keeps the atom), rebuilding canonically."""
-    if isinstance(e, (Sym, Jet)):
-        repl = fn(e)
-        return e if repl is None else repl
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Unknown):
-        repl = fn(e)
-        if repl is not None:
-            return repl
-        if not descend_unknown_args:
-            return e
-        return unknown(e.fn, e.derivs,
-                       tuple(_rewrite_atoms(a, fn, descend_unknown_args) for a in e.args))
-    if isinstance(e, Func):
-        return func(e.fn, *[_rewrite_atoms(a, fn, descend_unknown_args) for a in e.args])
-    if isinstance(e, Pow):
-        return pow_(_rewrite_atoms(e.base, fn, descend_unknown_args), e.exp)
-    if isinstance(e, Mul):
-        return mul(Num(e.coeff),
-                   *[_rewrite_atoms(f, fn, descend_unknown_args) for f in e.factors])
-    if isinstance(e, Add):
-        return add(*[_rewrite_atoms(t, fn, descend_unknown_args) for t in e.terms])
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------
@@ -940,11 +933,19 @@ def _func_derivative(e: Func, dargs: list[Expr]) -> Expr:
 
 
 def _derive(e: Expr, datom: Callable[[Expr], Expr]) -> Expr:
-    """Generic derivation: ``datom`` gives the derivative of Sym/Jet/Unknown."""
+    """Generic derivation: ``datom`` gives the derivative of Sym/Jet; opaque
+    functions follow the chain rule through their argument slots."""
     if isinstance(e, Num):
         return ZERO
-    if isinstance(e, (Sym, Jet, Unknown)):
+    if isinstance(e, (Sym, Jet)):
         return datom(e)
+    if isinstance(e, Unknown):
+        parts = []
+        for i, arg in enumerate(e.args):
+            darg = _derive(arg, datom)
+            if darg != ZERO:
+                parts.append(mul(unknown(e.fn, e.derivs + (i,), e.args), darg))
+        return add(*parts) if parts else ZERO
     if isinstance(e, Func):
         dargs = [_derive(a, datom) for a in e.args]
         if all(d == ZERO for d in dargs):
@@ -975,20 +976,7 @@ def diff_atom(e: Expr, atom: Expr) -> Expr:
     if not isinstance(atom, (Sym, Jet)):
         raise ExprError("diff_atom expects a Sym or Jet")
 
-    def datom(node: Expr) -> Expr:
-        if node == atom:
-            return ONE
-        if isinstance(node, Unknown):
-            parts = []
-            for i, arg in enumerate(node.args):
-                darg = diff_atom(arg, atom)
-                if darg == ZERO:
-                    continue
-                parts.append(mul(unknown(node.fn, node.derivs + (i,), node.args), darg))
-            return add(*parts) if parts else ZERO
-        return ZERO
-
-    return _derive(e, datom)
+    return _derive(e, lambda node: ONE if node == atom else ZERO)
 
 
 def total_derivative(e: Expr, v: Sym) -> Expr:
@@ -998,23 +986,13 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
         raise ExprError("total derivative direction must be an independent variable")
 
     def datom(node: Expr) -> Expr:
-        if isinstance(node, Sym):
-            if node.kind is Kind.INDEPENDENT:
-                return ONE if node == v else ZERO
-            if node.kind is Kind.DEPENDENT:
-                return Jet(node, (v,))
-            return ZERO
         if isinstance(node, Jet):
             return Jet(node.base, node.indices + (v,))
-        if isinstance(node, Unknown):
-            parts = []
-            for i, arg in enumerate(node.args):
-                darg = total_derivative(arg, v)
-                if darg == ZERO:
-                    continue
-                parts.append(mul(unknown(node.fn, node.derivs + (i,), node.args), darg))
-            return add(*parts) if parts else ZERO
-        raise TypeError(f"unexpected atom {node!r}")
+        if node.kind is Kind.INDEPENDENT:
+            return ONE if node == v else ZERO
+        if node.kind is Kind.DEPENDENT:
+            return Jet(node, (v,))
+        return ZERO
 
     return _derive(e, datom)
 
@@ -1053,8 +1031,7 @@ def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
     for k in table:
         if state.get(k) != 2:
             visit(k, ())
-    return _rewrite_atoms(e, lambda at: table.get(at),
-                          descend_unknown_args=descend_unknown_args)
+    return rebuild(e, table.get, descend_unknown_args)
 
 
 def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
@@ -1070,12 +1047,12 @@ def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
         body = _coerce(bodies[atom.fn])
         for slot_index in atom.derivs:
             body = diff_atom(body, atom.fn.slots[slot_index])
-        args = tuple(_rewrite_atoms(a, fn) for a in atom.args)
+        args = tuple(rebuild(a, fn) for a in atom.args)
         if tuple(atom.fn.slots) == args:
             return body
         return substitute(body, dict(zip(atom.fn.slots, args)))
 
-    return _rewrite_atoms(e, fn)
+    return rebuild(e, fn)
 
 
 # ---------------------------------------------------------------------------

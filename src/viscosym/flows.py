@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, _rewrite_atoms,
-                   add, diff_atom, eval_numeric, func, mul, sub, substitute,
-                   to_text)
+from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, diff_atom,
+                   eval_numeric, func, mul, rebuild, sub, substitute, to_text)
 from .spaces import eps as EPS
 from .spaces import t, x, y
 from .vector_fields import Generator
@@ -66,7 +65,7 @@ class FlowMap:
         this bypasses the public substitute's cycle guard)."""
         inner = dict(zip((x, y, t),
                          (substitute(c, {EPS: second_param}) for c in other.components)))
-        return tuple(_rewrite_atoms(c, inner.get) for c in self.components)
+        return tuple(rebuild(c, inner.get) for c in self.components)
 
 
 def _affine_parts(coeff: Expr, label: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:

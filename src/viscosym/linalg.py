@@ -14,7 +14,7 @@ from .expr import Expr, Num, ZERO, add, mul, sub
 
 __all__ = [
     "solve_exact", "mat_mul_rat", "mat_is_zero",
-    "expr_matrix", "mat_mul_expr", "mat_apply_expr", "identity_expr", "det_expr",
+    "expr_matrix", "mat_mul_expr", "identity_expr", "det_expr",
 ]
 
 RatMat = list[list[Fraction]]
@@ -79,10 +79,6 @@ def mat_mul_expr(m1: ExprMat, m2: ExprMat) -> ExprMat:
     n, k, p = len(m1), len(m2), len(m2[0])
     return tuple(tuple(add(*[mul(m1[i][j], m2[j][c]) for j in range(k)])
                        for c in range(p)) for i in range(n))
-
-
-def mat_apply_expr(m: ExprMat, v: Sequence[Expr]) -> tuple[Expr, ...]:
-    return tuple(add(*[mul(m[i][j], v[j]) for j in range(len(v))]) for i in range(len(m)))
 
 
 def det_expr(m: ExprMat) -> Expr:

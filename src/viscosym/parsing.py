@@ -27,6 +27,10 @@ from .spaces import VarSpace
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError"]
 
+# deepest parenthesis or call nesting accepted; each level costs several
+# stack frames, and deeper input would exhaust the interpreter's stack
+_MAX_NESTING = 100
+
 
 class ParseError(ExprError):
     """Syntax error; carries the byte offset of the offending token."""
@@ -104,6 +108,7 @@ class _Parser:
         self.space = space
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -128,6 +133,15 @@ class _Parser:
         e = self.expr()
         if self.cur.type != "END":
             raise ParseError(f"unexpected trailing input {self.cur.text!r}", self.cur.pos)
+        return e
+
+    def nested_expr(self, opening: _Token) -> Expr:
+        """An expr one nesting level below the '(' token ``opening``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", opening.pos)
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
         return e
 
     def expr(self) -> Expr:
@@ -183,17 +197,18 @@ class _Parser:
             self.advance()
             return self.ident_use(tok)
         if self.accept_op("("):
-            e = self.expr()
+            e = self.nested_expr(tok)
             self.expect_op(")")
             return e
         raise ParseError(f"expected a number, identifier or '(', found "
                          f"{tok.text or 'end of input'!r}", tok.pos)
 
     def call_args(self) -> list[Expr]:
+        opening = self.cur
         self.expect_op("(")
-        args = [self.expr()]
+        args = [self.nested_expr(opening)]
         while self.accept_op(","):
-            args.append(self.expr())
+            args.append(self.nested_expr(opening))
         self.expect_op(")")
         return args
 

@@ -16,16 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import (Add, Expr, ExprError, Func, Jet, Kind, Mul, Num, Pow, Sym,
-                   Unknown, UnknownFn, ZERO, _rewrite_atoms, add, atoms,
-                   diff_atom, eval_numeric, func, mul, pow_, reduce_quotients,
-                   sub, substitute, substitute_functions, to_text,
-                   total_derivative, unknown)
+from .expr import (Add, Expr, ExprError, Jet, Kind, Num, Pow, Sym, Unknown,
+                   UnknownFn, ZERO, add, atoms, diff_atom, eval_numeric, func,
+                   mul, pow_, rebuild, reduce_quotients, sub, substitute,
+                   substitute_functions, to_text, unknown)
 from .linalg import solve_exact
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
-from .vector_fields import Generator, PDEInstance, viscoelastic_pde
+from .vector_fields import (Generator, PDEInstance, parse_basis_combination,
+                            viscoelastic_pde)
 
 __all__ = [
     "SimilarityChart", "ReducedPDE", "ReductionReport",
@@ -194,15 +194,7 @@ def _is_base_atom(atom: Expr) -> bool:
 def reduce_pde(pde: PDEInstance, chart: SimilarityChart) -> ReducedPDE:
     """Substitute u = h(xi, eta), f = g(xi, eta) into the residual, expand all
     derivatives by the chain rule and rewrite the result over (xi, eta)."""
-    bindings: dict[Expr, Expr] = {u: chart.u_subst, f: chart.f_subst}
-    for atom in atoms(pde.residual):
-        if isinstance(atom, Jet) and atom.base == u:
-            expr = chart.u_subst
-            for ix in atom.indices:
-                expr = total_derivative(expr, ix)
-            bindings[atom] = expr
-    mixed = substitute(pde.residual, bindings)
-    named = _name_reduced_jets(mixed, chart)
+    named = _name_reduced_jets(pde.compose(chart.u_subst, chart.f_subst), chart)
     if chart.kind == "linear":
         reduced = _rewrite_linear(named, chart)
     else:
@@ -224,7 +216,7 @@ def _name_reduced_jets(e: Expr, chart: SimilarityChart) -> Expr:
             return Jet(dep, tuple(slots[i] for i in atom.derivs))
         return None
 
-    return _rewrite_atoms(e, fn)
+    return rebuild(e, fn)
 
 
 def _rewrite_linear(e: Expr, chart: SimilarityChart) -> Expr:
@@ -286,25 +278,13 @@ def _rewrite_rotation(e: Expr, chart: SimilarityChart) -> Expr:
 def _eliminate_square(e: Expr, var: Sym, replacement: Expr) -> Expr:
     """Rewrite var^(2k+r) -> replacement^k * var^r throughout, including in
     power bases, so x^2 + y^2 style invariants can be collapsed."""
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            exp = node.exp
-            if base == var and exp.denominator == 1:
-                k, r = divmod(int(exp), 2)
-                return mul(pow_(replacement, k), pow_(var, r))
-            return pow_(base, exp)
-        if isinstance(node, Mul):
-            return mul(Num(node.coeff), *[walk(fc) for fc in node.factors])
-        if isinstance(node, Add):
-            return add(*[walk(tm) for tm in node.terms])
-        if isinstance(node, Unknown):
-            return unknown(node.fn, node.derivs, tuple(walk(ag) for ag in node.args))
-        if isinstance(node, Func):
-            return func(node.fn, *[walk(ag) for ag in node.args])
-        return node
+    def hook(node: Expr) -> Expr | None:
+        if isinstance(node, Pow) and node.base == var and node.exp.denominator == 1:
+            k, r = divmod(int(node.exp), 2)
+            return mul(pow_(replacement, k), pow_(var, r))
+        return None
 
-    return walk(e)
+    return rebuild(e, hook)
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +330,8 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
     for _ in range(n_functions):
         hbody = _random_body(rng)
         gbody = _random_body(rng)
-        u_expr = substitute_functions(chart.u_subst, {H_FN: hbody})
-        f_expr = substitute_functions(chart.f_subst, {G_FN: gbody})
-        bindings: dict[Expr, Expr] = {u: u_expr, f: f_expr}
-        for atom in atoms(pde.residual):
-            if isinstance(atom, Jet) and atom.base == u:
-                expr = u_expr
-                for ix in atom.indices:
-                    expr = total_derivative(expr, ix)
-                bindings[atom] = expr
-        original = substitute(pde.residual, bindings)
+        original = pde.compose(substitute_functions(chart.u_subst, {H_FN: hbody}),
+                               substitute_functions(chart.f_subst, {G_FN: gbody}))
 
         red_bindings: dict[Expr, Expr] = {}
         for atom in atoms(candidate):
@@ -432,7 +404,6 @@ def audit_reduction_table(pde: PDEInstance | None = None) -> list[ReductionAudit
     """Compare the tool's chain-rule reductions against the published rows,
     term by term, in the published chart orientation (so differences are
     real discrepancies, not coordinate relabelings)."""
-    from .vector_fields import parse_basis_combination
     if pde is None:
         pde = viscoelastic_pde()
     rows = published_reduction_rows()

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import (Add, Expr, ExprError, Jet, Kind, Mul, Num, Pow, Sym,
-                   UnknownFn, ZERO, ONE, add, atoms, diff_atom,
-                   max_abs_sample, mul, neg, sub, substitute, to_text,
-                   total_derivative)
+from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Mul, Num,
+                   Pow, Sym, UnknownFn, ZERO, ONE, add, atoms, diff_atom,
+                   max_abs_sample, mul, neg, sub, substitute, term_map,
+                   to_text, total_derivative)
 from .linalg import solve_exact
 from .spaces import VarSpace, a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
@@ -121,28 +121,11 @@ def parse_basis_combination(text: str) -> Generator:
     """Parse "X1", "X1 + 2*X3", "-X4/2" ... into a Generator."""
     e = _LABEL_SPACE.parse(text)
     coeffs = [Fraction(0)] * 5
-    for factors, coeff in _linear_coefficients(e).items():
+    for factors, coeff in term_map(e).items():
         if len(factors) != 1 or factors[0] not in _LABEL_SYMS:
             raise ExprError(f"{text!r} is not a linear combination of X1..X5")
         coeffs[_LABEL_SYMS.index(factors[0])] = coeff
     return basis_combination(coeffs)
-
-
-def _linear_coefficients(e: Expr) -> dict[tuple[Expr, ...], Fraction]:
-    """Map monomial factor tuples to rational coefficients; errors out if a
-    term carries a non-rational coefficient structure."""
-    out: dict[tuple[Expr, ...], Fraction] = {}
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for term in terms:
-        if isinstance(term, Num):
-            coeff, factors = term.value, ()
-        elif isinstance(term, Mul):
-            coeff, factors = term.coeff, term.factors
-        else:
-            coeff, factors = Fraction(1), (term,)
-        if coeff != 0:
-            out[factors] = out.get(factors, Fraction(0)) + coeff
-    return out
 
 
 def function_shift_generator(fn: UnknownFn | None = None,
@@ -156,21 +139,7 @@ def function_shift_generator(fn: UnknownFn | None = None,
     if pde is None:
         pde = viscoelastic_pde()
     shift = fn()
-    image = _apply_operator_to_function(pde, shift)
-    return Generator(phi1=shift, phi2=image, label=f"X_{fn.name}")
-
-
-def _apply_operator_to_function(pde: "PDEInstance", w: Expr) -> Expr:
-    """Apply the equation's linear operator (the solved-for-f side) to a
-    concrete function of (x, y, t): substitute u -> w in the solved form."""
-    bindings: dict[Expr, Expr] = {u: w}
-    for atom in atoms(pde.solved_form):
-        if isinstance(atom, Jet) and atom.base == u:
-            out = w
-            for ix in atom.indices:
-                out = total_derivative(out, ix)
-            bindings[atom] = out
-    return substitute(pde.solved_form, bindings)
+    return Generator(phi1=shift, phi2=pde.compose(shift, ZERO), label=f"X_{fn.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +164,19 @@ class PDEInstance:
             raise ExprError("residual must be linear in f with coefficient -1")
         object.__setattr__(self, "solved_form", solved)
 
+    def compose(self, u_expr: Expr, f_expr: Expr) -> Expr:
+        """The residual with u = u_expr and f = f_expr, each u-jet bound to
+        the matching total derivative of u_expr.  With f_expr = 0 this is
+        the equation's linear operator applied to u_expr."""
+        bindings: dict[Expr, Expr] = {u: u_expr, f: f_expr}
+        for atom in atoms(self.residual):
+            if isinstance(atom, Jet) and atom.base == u:
+                out = u_expr
+                for ix in atom.indices:
+                    out = total_derivative(out, ix)
+                bindings[atom] = out
+        return substitute(self.residual, bindings)
+
 
 def viscoelastic_pde() -> PDEInstance:
     residual = base_space().parse("u_tt - a*(u_xxt + u_yyt) - b*(u_xx + u_yy) - f")
@@ -216,8 +198,8 @@ def express_in_span(target: Generator, basis: Sequence[Generator]) -> list[Fract
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for slot in range(5):
-        basis_maps = [_linear_coefficients(gen.coefficients[slot]) for gen in basis]
-        target_map = _linear_coefficients(target.coefficients[slot])
+        basis_maps = [term_map(gen.coefficients[slot]) for gen in basis]
+        target_map = term_map(target.coefficients[slot])
         monomials = set(target_map)
         for bm in basis_maps:
             monomials.update(bm)
@@ -354,7 +336,7 @@ def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
     phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u_{J,k}.
     """
     if order > 3:
-        raise JetCapError(order)
+        raise JetOrderError(f"prolongation order {order} exceeds the supported order 3")
     if order < 0:
         raise ExprError("prolongation order must be nonnegative")
     xis = (v.xi1, v.xi2, v.xi3)
@@ -378,11 +360,6 @@ def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
                 out[Jet(dep, jsorted)] = coeff
             level = nxt
     return out
-
-
-class JetCapError(ExprError):
-    def __init__(self, order: int):
-        super().__init__(f"prolongation order {order} exceeds the supported order 3")
 
 
 def _raw_invariance(v: Generator, pde: PDEInstance) -> Expr:
@@ -451,7 +428,7 @@ def symmetry_family_bodies(fns: Sequence[UnknownFn],
         shift = UnknownFn("F", (x, y, t))
     if pde is None:
         pde = viscoelastic_pde()
-    image = _apply_operator_to_function(pde, shift())
+    image = pde.compose(shift(), ZERO)
     xi1b = add(mul(c1, y), c2)
     xi2b = add(mul(Num(Fraction(-1)), c1, x), c3)
     xi3b: Expr = c4
@@ -481,14 +458,9 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def _monomial_split(term: Expr) -> tuple[tuple[tuple[Jet, int], ...], Expr]:
-    """Split a canonical term into (u-jet monomial, remaining coefficient)."""
-    if isinstance(term, Num):
-        return (), term
-    if isinstance(term, Mul):
-        coeff, factors = term.coeff, term.factors
-    else:
-        coeff, factors = Fraction(1), (term,)
+def _monomial_split(coeff: Fraction, factors: tuple[Expr, ...]
+                    ) -> tuple[tuple[tuple[Jet, int], ...], Expr]:
+    """Split a term into (u-jet monomial, remaining coefficient)."""
     mono: list[tuple[Jet, int]] = []
     rest: list[Expr] = []
     for factor in factors:
@@ -549,12 +521,9 @@ def determining_equations(pde: PDEInstance | None = None,
                 and sum(ix == t for ix in atom.indices) >= 2:
             raise ExprError(f"unexpected principal-derivative jet {to_text(atom)}")
     groups: dict[tuple[tuple[Jet, int], ...], list[Expr]] = {}
-    terms = residual.terms if isinstance(residual, Add) else (residual,)
-    for term in terms:
-        if term == ZERO:
-            continue
-        mono, coeff = _monomial_split(term)
-        groups.setdefault(mono, []).append(coeff)
+    for factors, coeff in term_map(residual).items():
+        mono, coeff_expr = _monomial_split(coeff, factors)
+        groups.setdefault(mono, []).append(coeff_expr)
     records = []
     for mono in sorted(groups, key=_monomial_key):
         records.append((mono, add(*groups[mono])))

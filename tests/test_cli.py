@@ -199,6 +199,17 @@ class TestErrorsAndDeterminism:
         code, out = run_cli(capsys, "table")
         assert out.startswith("| [ , ] |")
 
+    def test_nesting_limit(self, capsys):
+        code, payload = run_json(capsys, "verify", "verify",
+                                 "--generator", "(" * 50 + "X1" + ")" * 50)
+        assert code == 0 and payload["ok"]
+        for depth in (300, 3000):
+            code = run(["verify", "--generator", "(" * depth + "X1" + ")" * depth])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: nesting deeper than")
+            assert "(at byte 100)" in captured.err
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "viscosym.cli", "optimal", "--coeffs", "0,0,7,0,2"],
@@ -206,3 +217,40 @@ class TestErrorsAndDeterminism:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["class"] == 4 and payload["c1"] == pytest.approx(2 / 7)
+
+
+class TestInputValidation:
+    """Malformed input exits 2 with one error line on stderr and no output."""
+
+    SEEDS = {"good.json": "[[1, 0, 0]]", "short.json": "[[1.0, 2.0]]",
+             "text.json": '[[1, "2", 3]]', "object.json": '{"x": 1}',
+             "nan.json": "[[1, 2, NaN]]", "inf.csv": "1 2 inf\n",
+             "huge.json": "[[1" + "0" * 400 + ", 0, 0]]"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--generator", '{"xi1": 3}'],
+        ["verify", "--generator", '{"zeta": "x"}'],
+        ["verify", "--generator", '{"xi1": ["x"]}'],
+        ["optimal", "--coeffs", "inf,1,0,0,0"],
+        ["optimal", "--coeffs", "1,nan,0,0,0"],
+        ["verify", "--generator", "X4", "--param-a", "inf"],
+        ["verify", "--generator", "X4", "--param-b", "nan"],
+        ["reduce", "--generator", "X1", "--param-a=-inf"],
+        ["verify", "--generator", "X4", "--tol", "nan"],
+        ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "0:inf:3"],
+        ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "nan:1:3"],
+        ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "0:1:3",
+         "--tol", "nan"],
+        *[["flow", "--generator", "X4", "--seeds", name, "--eps", "0:1:5"]
+          for name in ("short.json", "text.json", "object.json", "nan.json", "inf.csv",
+                       "huge.json")],
+    ], ids=" ".join)
+    def test_exit_two(self, capsys, tmp_path, argv):
+        for name, text in self.SEEDS.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg in self.SEEDS else arg for arg in argv]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

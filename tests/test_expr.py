@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscosym.expr import (DomainEvalError, Jet, JetOrderError, Num,
+from viscosym.expr import (DomainEvalError, Jet, JetOrderError, Num, Pow,
                            SubstitutionCycleError, UnassignedSymbolError,
                            UnknownFn, ZERO, ONE, add, canonicalize,
                            diff_atom, equals, eval_numeric, mul, pow_,
-                           reduce_quotients, sub, substitute,
-                           substitute_functions, to_text, total_derivative)
+                           rebuild, reduce_quotients, sub, substitute,
+                           substitute_functions, term_map, to_text,
+                           total_derivative)
 from viscosym.parsing import ParseError, UnknownIdentifierError
-from viscosym.spaces import a, b, eps, f, s, t, u, x, y
+from viscosym.spaces import a, b, eps, f, s, t, u, x, xi, y
 
 from conftest import random_expr
 
@@ -79,6 +80,15 @@ class TestParsing:
             space.parse("u_xxxxx")
         space.parse("u_xxxx")   # order 4 is the cap, fine
 
+    def test_nesting_limit(self, space):
+        assert space.parse("(" * 100 + "x" + ")" * 100) == x
+        with pytest.raises(ParseError, match="nesting") as err:
+            space.parse("(" * 101 + "x" + ")" * 101)
+        assert err.value.offset == 100
+        space.parse("sin(" * 100 + "x" + ")" * 100)
+        with pytest.raises(ParseError, match="nesting"):
+            space.parse("sin(" * 101 + "x" + ")" * 101)
+
     def test_power_is_not_associative(self, space):
         with pytest.raises(ParseError):
             space.parse("x^2^3")
@@ -102,6 +112,23 @@ class TestCanonicalForm:
         sp = __import__("viscosym.spaces", fromlist=["base_space"]).base_space()
         e = random_expr(random.Random(seed), depth=4)
         assert sp.parse(to_text(e)) == e
+
+    def test_rebuild_pow_hook(self):
+        # the rotation chart's elimination of y^2 = xi - x^2
+        def hook(node):
+            if isinstance(node, Pow) and node.base == y:
+                k, r = divmod(int(node.exp), 2)
+                return mul(pow_(sub(xi, pow_(x, 2)), k), pow_(y, r))
+            return None
+
+        assert rebuild(pow_(y, 5), hook) == mul(pow_(sub(xi, pow_(x, 2)), 2), y)
+        assert rebuild(add(pow_(y, 2), pow_(x, 3)), hook) == \
+            sub(add(xi, pow_(x, 3)), pow_(x, 2))
+
+    def test_term_map(self, space):
+        assert term_map(space.parse("3*x*y - 2 + x")) == {
+            (x, y): Fraction(3), (): Fraction(-2), (x,): Fraction(1)}
+        assert term_map(ZERO) == {}
 
     def test_pythagorean_rewrite(self, space):
         assert space.parse("sin(s)^2 + cos(s)^2") == ONE
@@ -192,6 +219,7 @@ class TestCalculus:
         e = sp.parse("F(x^2, y, t)")
         de = total_derivative(e, x)
         assert de == sp.parse("2*x*F_x(x^2, y, t)")
+        assert diff_atom(e, x) == de
 
     def test_diff_atom_treats_jets_as_coordinates(self, space):
         e = space.parse("u_xx*u + x*u")

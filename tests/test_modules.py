@@ -1,0 +1,42 @@
+"""Module boundaries: no module of the package reaches into a sibling's
+private names, and every name a module exports exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "viscosym"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling_import(node: ast.ImportFrom) -> bool:
+    return node.level == 1 or (node.module or "").split(".")[0] == "viscosym"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_from_siblings(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and _sibling_import(node)]
+    offenders = [f"from {node.module} import {alias.name}" for node in imports
+                 for alias in node.names if node.module and _private(alias.name)]
+    # names bound to sibling modules by "from . import expr as e"
+    siblings = {alias.asname or alias.name for node in imports
+                if node.module in (None, "viscosym") for alias in node.names}
+    offenders += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and _private(node.attr)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_names_exist(module):
+    name = "viscosym" if module == "__init__" else f"viscosym.{module}"
+    mod = importlib.import_module(name)
+    assert [entry for entry in getattr(mod, "__all__", ()) if not hasattr(mod, entry)] == []

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from viscosym.expr import (Jet, Num, UnknownFn, ZERO, ONE, add, max_abs_sample,
-                           mul, sub, substitute_functions, to_text,
-                           total_derivative)
+from viscosym.expr import (Jet, JetOrderError, Num, UnknownFn, ZERO, ONE, add,
+                           max_abs_sample, mul, sub, substitute_functions,
+                           to_text, total_derivative)
 from viscosym.spaces import a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 from viscosym.vector_fields import (Generator, NotClosedError, bracket,
                                     commutator_table, determining_equations,
@@ -142,7 +142,7 @@ class TestProlongation:
                 assert got[key] == want[key], to_text(key)
 
     def test_order_cap(self, basis):
-        with pytest.raises(Exception, match="order"):
+        with pytest.raises(JetOrderError, match="order"):
             prolong(basis[0], 4)
 
 
@@ -234,6 +234,13 @@ class TestCombinations:
     def test_rejects_nonlinear(self):
         with pytest.raises(Exception, match="linear"):
             parse_basis_combination("X1*X2")
+
+    def test_compose(self, pde, space):
+        # by hand: u_xxt = 2, u_xx = 2*t, u_yy = -sin(y), u_tt = u_yyt = 0
+        w = space.parse("x^2*t + sin(y)")
+        operator = space.parse("-2*a - 2*b*t + b*sin(y)")
+        assert pde.compose(w, ZERO) == operator
+        assert pde.compose(w, x) == sub(operator, x)
 
     def test_pde_shape_validation(self, space):
         from viscosym.vector_fields import PDEInstance
