@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "ExprError", "JetOrderError", "SubstitutionCycleError", "EvalError",

@@ -10,7 +10,6 @@ flow lives on the base space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,8 +22,12 @@ from .vector_fields import Generator
 
 _DELTA = Sym("delta", Kind.PARAMETER, 97)   # second parameter for the group law
 
-__all__ = ["FlowMap", "FlowSample", "NonAffineError", "flow_map", "sample_flow",
-           "samples_to_csv"]
+__all__ = ["FlowMap", "FlowSample", "NonAffineError", "MAX_EPS_SAMPLES", "flow_map",
+           "sample_flow", "samples_to_csv"]
+
+# largest n of an (lo, hi, n) eps range: samples are held in one list and
+# printed at once, so an unbounded n is unbounded time and memory
+MAX_EPS_SAMPLES = 100_000
 
 
 class NonAffineError(ExprError):
@@ -140,6 +143,8 @@ def sample_flow(fm: FlowMap, seeds: Sequence[Sequence[float]],
     lo, hi, n = eps_range
     if n < 2:
         raise ExprError("eps sampling needs n >= 2")
+    if n > MAX_EPS_SAMPLES:
+        raise ExprError(f"eps sampling takes at most {MAX_EPS_SAMPLES} values, got {n}")
     if not (lo < hi):
         raise ExprError("eps range needs lo < hi")
     out = []

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import (ELEMENTARY_FUNCTIONS, Expr, ExprError, Jet, Kind, Num, Sym,
+from .expr import (ELEMENTARY_FUNCTIONS, Expr, ExprError, Jet, Kind, Num,
                    UnknownFn, add, div, func, mul, neg, pow_, unknown)
 from .spaces import VarSpace
 

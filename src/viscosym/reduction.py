@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -301,16 +300,22 @@ class ReductionReport:
     passed: bool
 
 
-def _random_body(rng) -> Expr:
-    """Random bivariate polynomial over (xi, eta), dense through degree 4."""
-    parts = []
-    for i in range(5):
-        for j in range(5 - i):
-            coeff = int(rng.integers(-3, 4))
-            if coeff:
-                parts.append(mul(Num(Fraction(coeff)), pow_(XI, i), pow_(ETA, j)))
-    parts.append(Num(Fraction(1)))   # keep it nonzero
-    return add(*parts)
+# (i, j) of xi^i * eta^j, dense through degree 4, in the order the random
+# coefficients are drawn
+_EXPONENTS = tuple((i, j) for i in range(5) for j in range(5 - i))
+
+
+def _random_coefficients(rng) -> list[Fraction]:
+    """Coefficients over _EXPONENTS of a random bivariate polynomial: one
+    integer in [-3, 3] per monomial, plus 1 on the constant to keep it
+    nonzero."""
+    coeffs = [Fraction(int(rng.integers(-3, 4))) for _ in _EXPONENTS]
+    coeffs[_EXPONENTS.index((0, 0))] += 1
+    return coeffs
+
+
+def _combine(coeffs: list[Fraction], images: list[Expr]) -> list[Expr]:
+    return [mul(Num(c), image) for c, image in zip(coeffs, images) if c]
 
 
 def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
@@ -323,15 +328,35 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
     u = h(xi(x,y,t), eta(x,y,t)), f = g(...) (all derivatives by the chain
     rule) at random base points, and the candidate residual at the mapped
     (xi, eta) points; report the largest absolute discrepancy.
+
+    The original residual is affine in (u, f), which ``PDEInstance`` checks
+    at construction.  So the chain rule runs once per call, on the images of
+    the 15 monomials M_k = xi^i * eta^j pulled back through the chart:
+    base = compose(0, 0), U_k = compose(M_k, 0) - base and
+    F_k = compose(0, M_k) - base.  For h = sum c_k M_k and g = sum d_k M_k
+    the original residual is then base + sum c_k U_k + sum d_k F_k, the same
+    canonical tree as composing h and g directly.  The random integers and
+    sample points are drawn in the same order as by composing each function,
+    so a seed gives the same functions, points and discrepancy.  The
+    candidate side is bound function by function, since a candidate need not
+    be linear.
     """
     candidate = reduced.residual if isinstance(reduced, ReducedPDE) else reduced
+    monomials = [mul(pow_(XI, i), pow_(ETA, j)) for i, j in _EXPONENTS]
+    base = pde.compose(ZERO, ZERO)
+    u_images, f_images = [], []
+    for mono in monomials:
+        pulled = substitute_functions(chart.u_subst, {H_FN: mono})
+        u_images.append(sub(pde.compose(pulled, ZERO), base))
+        f_images.append(sub(pde.compose(ZERO, pulled), base))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_functions):
-        hbody = _random_body(rng)
-        gbody = _random_body(rng)
-        original = pde.compose(substitute_functions(chart.u_subst, {H_FN: hbody}),
-                               substitute_functions(chart.f_subst, {G_FN: gbody}))
+        hcoeffs = _random_coefficients(rng)
+        gcoeffs = _random_coefficients(rng)
+        original = add(base, *_combine(hcoeffs, u_images), *_combine(gcoeffs, f_images))
+        hbody = add(*_combine(hcoeffs, monomials))
+        gbody = add(*_combine(gcoeffs, monomials))
 
         red_bindings: dict[Expr, Expr] = {}
         for atom in atoms(candidate):

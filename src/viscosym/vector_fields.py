@@ -8,14 +8,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Mul, Num,
                    Pow, Sym, UnknownFn, ZERO, ONE, add, atoms, diff_atom,
                    max_abs_sample, mul, neg, sub, substitute, term_map,
                    to_text, total_derivative)
 from .linalg import solve_exact
-from .spaces import VarSpace, a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
+from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
 __all__ = [
     "Generator", "PDEInstance", "StructureConstants", "SymmetryReport",
@@ -149,8 +149,9 @@ def function_shift_generator(fn: UnknownFn | None = None,
 @dataclass(frozen=True)
 class PDEInstance:
     """The equation residual Delta = u_tt - a*(u_xxt + u_yyt) - b*(u_xx + u_yy) - f,
-    stored together with the same equation solved for f (Delta is linear in f
-    with coefficient -1, checked at construction)."""
+    stored together with the same equation solved for f.  Construction checks
+    that Delta is linear in f with coefficient -1 and linear in u and its
+    jets, so ``compose`` is affine in (u_expr, f_expr)."""
 
     residual: Expr
     solved_form: Expr = None  # type: ignore[assignment]
@@ -162,6 +163,11 @@ class PDEInstance:
         solved = add(self.residual, f)
         if any(atom == f for atom in atoms(solved)):
             raise ExprError("residual must be linear in f with coefficient -1")
+        u_atoms = {atom for atom in atoms(self.residual)
+                   if atom == u or (isinstance(atom, Jet) and atom.base == u)}
+        for atom in u_atoms:
+            if any(other in u_atoms for other in atoms(diff_atom(self.residual, atom))):
+                raise ExprError("residual must be linear in u and its jets")
         object.__setattr__(self, "solved_form", solved)
 
     def compose(self, u_expr: Expr, f_expr: Expr) -> Expr:
@@ -328,49 +334,81 @@ def _leading_negative(e: Expr) -> bool:
 # Prolongation and the invariance condition
 # ---------------------------------------------------------------------------
 
+_PROLONG_ORDER = 3
+
+
+def _prolonger(v: Generator) -> Callable[[Expr], Expr]:
+    """The prolonged coefficient of u, f or one of their jets, memoized per
+    generator.  A jet's coefficient is built from its prefix jet's with the
+    recursion phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u_{J,k}, where i is
+    the last index of the sorted multiset, so asking for one jet prolongs
+    only its prefixes."""
+    xis = (v.xi1, v.xi2, v.xi3)
+    indeps = (x, y, t)
+    memo: dict[Expr, Expr] = {u: v.phi1, f: v.phi2}
+    dxis: dict[Sym, list[Expr]] = {}
+
+    def coefficient(atom: Expr) -> Expr:
+        known = memo.get(atom)
+        if known is not None:
+            return known
+        if not isinstance(atom, Jet) or atom.base not in (u, f):
+            raise ExprError(f"{to_text(atom)} is not u, f or one of their jets")
+        if atom.order > _PROLONG_ORDER:
+            raise JetOrderError(f"{to_text(atom)} exceeds the supported "
+                                f"prolongation order {_PROLONG_ORDER}")
+        prev, direction = atom.indices[:-1], atom.indices[-1]
+        if direction not in dxis:
+            dxis[direction] = [total_derivative(xik, direction) for xik in xis]
+        prefix = Jet(atom.base, prev) if prev else atom.base
+        corrections = [mul(dxik, Jet(atom.base, prev + (ix,)))
+                       for dxik, ix in zip(dxis[direction], indeps)]
+        out = sub(total_derivative(coefficient(prefix), direction), add(*corrections))
+        memo[atom] = out
+        return out
+
+    return coefficient
+
+
 def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
     """Prolonged coefficients up to ``order`` (at most 3).
 
     Returns a map from u, f and each of their jets u_J, f_J (|J| <= order) to
     the infinitesimal coefficient, built with the recursion
-    phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u_{J,k}.
+    phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u_{J,k}.  This prolongs every
+    jet; the invariance condition asks ``_prolonger`` for the residual's
+    jets only.
     """
-    if order > 3:
-        raise JetOrderError(f"prolongation order {order} exceeds the supported order 3")
+    if order > _PROLONG_ORDER:
+        raise JetOrderError(f"prolongation order {order} exceeds the supported "
+                            f"order {_PROLONG_ORDER}")
     if order < 0:
         raise ExprError("prolongation order must be nonnegative")
-    xis = (v.xi1, v.xi2, v.xi3)
-    indeps = (x, y, t)
+    coefficient = _prolonger(v)
     out: dict[Expr, Expr] = {}
-    for dep, phi in ((u, v.phi1), (f, v.phi2)):
-        level: dict[tuple[Sym, ...], Expr] = {(): phi}
-        out[dep] = phi
+    for dep in (u, f):
+        out[dep] = coefficient(dep)
         for k in range(1, order + 1):
-            nxt: dict[tuple[Sym, ...], Expr] = {}
-            for multiset in itertools.combinations_with_replacement(indeps, k):
-                jsorted = tuple(sorted(multiset, key=lambda sm: sm.pos))
-                prev = jsorted[:-1]
-                direction = jsorted[-1]
-                coeff = total_derivative(level[prev], direction)
-                corrections = [mul(total_derivative(xik, direction),
-                                   Jet(dep, prev + (ix,)))
-                               for xik, ix in zip(xis, indeps)]
-                coeff = sub(coeff, add(*corrections))
-                nxt[jsorted] = coeff
-                out[Jet(dep, jsorted)] = coeff
-            level = nxt
+            for multiset in itertools.combinations_with_replacement((x, y, t), k):
+                jet = Jet(dep, multiset)
+                out[jet] = coefficient(jet)
     return out
 
 
 def _raw_invariance(v: Generator, pde: PDEInstance) -> Expr:
-    """Pr^(3)V applied to the residual, before any on-shell substitution."""
-    coeffs = prolong(v, 3)
-    coeffs[x], coeffs[y], coeffs[t] = v.xi1, v.xi2, v.xi3
+    """Pr^(3)V applied to the residual, before any on-shell substitution.
+
+    Only the jets the residual mentions (and their prefixes) are prolonged:
+    for the viscoelastic equation that is 10 of the 40 coefficients of the
+    full third prolongation."""
+    coefficient = _prolonger(v)
+    xis = {x: v.xi1, y: v.xi2, t: v.xi3}
     parts = []
     for atom in atoms(pde.residual):
         if isinstance(atom, Sym) and atom.kind is Kind.PARAMETER:
             continue
-        parts.append(mul(coeffs[atom], diff_atom(pde.residual, atom)))
+        coeff = xis[atom] if atom in xis else coefficient(atom)
+        parts.append(mul(coeff, diff_atom(pde.residual, atom)))
     return add(*parts)
 
 

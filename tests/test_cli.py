@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -254,3 +255,17 @@ class TestInputValidation:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_eps_count_is_capped(self, capsys, tmp_path):
+        # a short argv must not buy hours of sampling: N is checked before
+        # any sample is taken
+        seeds = tmp_path / "good.json"
+        seeds.write_text(self.SEEDS["good.json"])
+        start = time.perf_counter()
+        code = run(["flow", "--generator", "X4", "--seeds", str(seeds),
+                    "--eps", "0:1:1000000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: eps sampling takes at most 100000 values, got 1000000000\n"
+        assert elapsed < 1.0

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from viscosym.expr import ZERO, add, eval_numeric, pow_, sub, substitute
-from viscosym.flows import (FlowSample, NonAffineError, flow_map, sample_flow,
-                            samples_to_csv)
+from viscosym.expr import ExprError, ZERO, add, eval_numeric, pow_, sub, substitute
+from viscosym.flows import (MAX_EPS_SAMPLES, FlowSample, NonAffineError, flow_map,
+                            sample_flow, samples_to_csv)
 from viscosym.spaces import base_space, eps, t, x, y
 from viscosym.vector_fields import Generator, parse_basis_combination, standard_basis
 
@@ -129,3 +129,10 @@ class TestSampling:
             sample_flow(fm, [(0, 0, 0)], (0.0, 1.0, 1))
         with pytest.raises(Exception, match="lo < hi"):
             sample_flow(fm, [(0, 0, 0)], (1.0, 0.0, 4))
+
+    def test_sample_cap(self, basis):
+        fm = flow_map(basis[3])
+        with pytest.raises(ExprError, match="at most 100000"):
+            sample_flow(fm, [(1, 0, 0)], (0.0, 1.0, MAX_EPS_SAMPLES + 1))
+        with pytest.raises(ExprError, match="at most"):
+            sample_flow(fm, [(1, 0, 0)], (0.0, 1.0, 10 ** 9))

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package reaches into a sibling's
-private names, and every name a module exports exists."""
+private names, every name a module exports exists, and every name a module
+imports is used."""
 
 import ast
 import importlib
@@ -40,3 +41,19 @@ def test_exported_names_exist(module):
     name = "viscosym" if module == "__init__" else f"viscosym.{module}"
     mod = importlib.import_module(name)
     assert [entry for entry in getattr(mod, "__all__", ()) if not hasattr(mod, entry)] == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_imported_names_are_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(importlib.import_module(f"viscosym.{module}"), "__all__", ()))
+    assert sorted(imported[name] for name in imported if name not in used) == []

@@ -5,16 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viscosym.expr import (Add, Jet, Mul, Num, Pow, ZERO, add, mul, pow_, sub,
-                           to_text)
-from viscosym.reduction import (ReducedPDE, ReductionError, SimilarityChart,
+from viscosym.expr import (Add, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
+                           diff_atom, eval_numeric, mul, pow_, sub, substitute,
+                           substitute_functions, to_text)
+from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
+                                SimilarityChart,
                                 UnsupportedGeneratorError,
                                 audit_reduction_table,
                                 characteristic_invariants,
                                 published_reduction_rows,
                                 published_similarity_rows, reduce_pde,
                                 verify_reduction)
-from viscosym.spaces import base_space, eta, g, h, reduced_space, t, x, xi, y
+from viscosym.spaces import (a, b, base_space, eta, g, h, reduced_space, t, x,
+                             xi, y)
 from viscosym.vector_fields import (Generator, basis_combination,
                                     parse_basis_combination, standard_basis)
 
@@ -141,6 +144,66 @@ class TestReduce:
         reduced = reduce_pde(pde, flipped)
         assert verify_reduction(pde, flipped, reduced, seed=5,
                                 n_functions=4, n_points=8).passed
+
+
+
+def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points):
+    """verify_reduction as it was before the monomial images: both random
+    polynomials are composed with the chart and run through the chain rule
+    one function at a time."""
+    def random_body(rng):
+        parts = []
+        for i in range(5):
+            for j in range(5 - i):
+                coeff = int(rng.integers(-3, 4))
+                if coeff:
+                    parts.append(mul(Num(Fraction(coeff)), pow_(xi, i), pow_(eta, j)))
+        parts.append(Num(Fraction(1)))
+        return add(*parts)
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_functions):
+        hbody = random_body(rng)
+        gbody = random_body(rng)
+        original = pde.compose(substitute_functions(chart.u_subst, {H_FN: hbody}),
+                               substitute_functions(chart.f_subst, {G_FN: gbody}))
+        bindings = {}
+        for atom in atoms(candidate):
+            if isinstance(atom, Sym) and atom in (h, g):
+                bindings[atom] = hbody if atom == h else gbody
+            elif isinstance(atom, Jet) and atom.base in (h, g):
+                expr = hbody if atom.base == h else gbody
+                for ix in atom.indices:
+                    expr = diff_atom(expr, ix)
+                bindings[atom] = expr
+        reduced_expr = substitute(candidate, bindings)
+        for _ in range(n_points):
+            px, py, pt = rng.uniform(0.6, 2.0, size=3)
+            pa, pb = rng.uniform(0.5, 2.0, size=2)
+            lhs = eval_numeric(original, {x: px, y: py, t: pt, a: pa, b: pb})
+            cxi, ceta = chart.point(px, py, pt)
+            rhs = eval_numeric(reduced_expr, {xi: cxi, eta: ceta, a: pa, b: pb})
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+class TestVerificationIdentity:
+    """The monomial images give bit for bit the discrepancy of composing
+    each random function directly, for correct and wrong candidates."""
+
+    @pytest.mark.parametrize("label", ["X1", "X1 + X3", "2*X1 - 3*X2 + X3", "X4",
+                                       "X4 + 2*X3"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_reference(self, pde, label, seed):
+        chart = characteristic_invariants(parse_basis_combination(label))
+        reduced = reduce_pde(pde, chart).residual
+        wrong = add(reduced, mul(a, Jet(h, (xi, eta, eta))))
+        for candidate in (reduced, wrong):
+            report = verify_reduction(pde, chart, candidate, seed=seed,
+                                      n_functions=2, n_points=3)
+            assert report.max_discrepancy == reference_max_discrepancy(
+                pde, chart, candidate, seed, 2, 3)
 
 
 class TestAudit:

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from viscosym.expr import (Jet, JetOrderError, Num, UnknownFn, ZERO, ONE, add,
-                           max_abs_sample, mul, sub, substitute_functions,
-                           to_text, total_derivative)
+from viscosym.expr import (ExprError, Jet, JetOrderError, Kind, Num, Sym,
+                           UnknownFn, ZERO, ONE, add, atoms, diff_atom,
+                           max_abs_sample, mul, sub, substitute,
+                           substitute_functions, to_text, total_derivative)
 from viscosym.spaces import a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
-from viscosym.vector_fields import (Generator, NotClosedError, bracket,
+from viscosym.vector_fields import (Generator, NotClosedError, PDEInstance, bracket,
                                     commutator_table, determining_equations,
                                     function_shift_generator, general_ansatz,
                                     invariance_residual, monomial_text,
@@ -144,6 +145,21 @@ class TestProlongation:
     def test_order_cap(self, basis):
         with pytest.raises(JetOrderError, match="order"):
             prolong(basis[0], 4)
+        fourth_order = PDEInstance(base_space().parse("u_tt - u_xxxx - f"))
+        with pytest.raises(JetOrderError, match="prolongation order 3"):
+            invariance_residual(basis[0], fourth_order)
+
+    def test_residual_jets_only_match_full_prolongation(self, pde):
+        # the invariance condition prolongs only the residual's jets; the
+        # sum over the full third prolongation gives the same tree
+        ansatz, _ = general_ansatz()
+        coeffs = prolong(ansatz, 3)
+        coeffs[x], coeffs[y], coeffs[t] = ansatz.xi1, ansatz.xi2, ansatz.xi3
+        raw = add(*[mul(coeffs[atom], diff_atom(pde.residual, atom))
+                    for atom in atoms(pde.residual)
+                    if not (isinstance(atom, Sym) and atom.kind is Kind.PARAMETER)])
+        full = substitute(raw, {f: pde.solved_form}, descend_unknown_args=False)
+        assert invariance_residual(ansatz, pde) == full
 
 
 class TestInvariance:
@@ -243,8 +259,14 @@ class TestCombinations:
         assert pde.compose(w, x) == sub(operator, x)
 
     def test_pde_shape_validation(self, space):
-        from viscosym.vector_fields import PDEInstance
-        with pytest.raises(Exception, match="coefficient -1"):
+        with pytest.raises(ExprError, match="coefficient -1"):
             PDEInstance(space.parse("u_tt - 2*f"))
-        with pytest.raises(Exception, match="coefficient -1"):
+        with pytest.raises(ExprError, match="coefficient -1"):
             PDEInstance(space.parse("u_tt - f*u - f"))
+        # compose, and so verify_reduction, relies on the residual being
+        # affine in (u, f)
+        for text in ("u*u_xx - f", "u_tt*u_xx - f", "sin(u_x) - f"):
+            with pytest.raises(ExprError, match="linear in u and its jets"):
+                PDEInstance(space.parse(text))
+        assert PDEInstance(space.parse("x*u_tt - t^2*u + sin(y) - f")).solved_form \
+            == space.parse("x*u_tt - t^2*u + sin(y)")
