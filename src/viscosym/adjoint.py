@@ -20,7 +20,6 @@ from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add,
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
                      mat_mul_expr, mat_mul_rat, mat_is_zero)
 from .spaces import s as S_PARAM
-from .spaces import base_space
 from .vector_fields import StructureConstants, combo_text, commutator_table
 
 __all__ = [
@@ -155,7 +154,6 @@ def adjoint_table(constants: StructureConstants | None = None) -> list[list[str]
 # The adjoint table as printed in the published reference (row X_t, column
 # X_r).  Cells are coefficient 5-vectors over the basis, as expressions in s.
 def _published_cells() -> dict[tuple[int, int], tuple[Expr, ...]]:
-    sp = base_space()
     s = S_PARAM
     zero, one = ZERO, ONE
     cells: dict[tuple[int, int], tuple[Expr, ...]] = {}

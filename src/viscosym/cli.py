@@ -9,7 +9,7 @@ which carry a byte offset).
 
 Identical inputs and seed produce byte-identical output; the random seed
 and output format can also be set through the environment variables
-VISCOSYM_SEED and VISCOSYM_FORMAT.
+VISCOSYM_SEED and VISCOSYM_FORMAT, which are checked like the flags.
 """
 
 from __future__ import annotations
@@ -321,9 +321,8 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=("json", "markdown", "csv"),
-                        default=dflt(os.environ.get("VISCOSYM_FORMAT", "json")))
-    parser.add_argument("--seed", type=int,
-                        default=dflt(int(os.environ.get("VISCOSYM_SEED", "42"))))
+                        default=dflt("json"))
+    parser.add_argument("--seed", type=int, default=dflt(42))
     parser.add_argument("--tol", type=float, default=dflt(None),
                         help="tolerance override for verification commands")
     parser.add_argument("--param-a", type=float, default=dflt(None),
@@ -381,9 +380,15 @@ _COMMANDS = {
 }
 
 
+_ENV_DEFAULTS = (("VISCOSYM_FORMAT", "--format"), ("VISCOSYM_SEED", "--seed"))
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # an environment default is parsed as the same flag given first, so it
+    # is validated like the flag and any later flag overrides it
+    env = [f"{flag}={os.environ[var]}" for var, flag in _ENV_DEFAULTS if var in os.environ]
+    args = parser.parse_args(env + (sys.argv[1:] if argv is None else list(argv)))
     try:
         config = RunConfig(fmt=args.format, seed=args.seed, tol=_finite(args.tol, "--tol"),
                            param_a=_finite(args.param_a, "--param-a"),

@@ -21,10 +21,11 @@ sin(0) -> 0, cos(0) -> 1, parity normalisation of sin/cos/arctan and
 angle addition for syntactic sums.  That is enough to make rotation
 flows and their group law close symbolically.
 
-Two helpers serve every module that takes trees apart: ``rebuild`` walks a
-tree through the canonical constructors with a per-node replacement hook
-(substitution, canonicalization and chart rewrites are all hooks), and
-``term_map`` gives a sum's monomials with their rational coefficients.
+Three helpers serve every module that takes trees apart: ``rebuild`` walks
+a tree through the canonical constructors with a per-node replacement hook
+(substitution, canonicalization and chart rewrites are all hooks),
+``term_map`` gives a sum's monomials with their rational coefficients, and
+``bind_jets`` composes an equation with concrete dependents and their jets.
 
 All values are immutable and hashable; every operation is a pure
 function, so expressions can be shared freely across threads.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "ExprError", "JetOrderError", "SubstitutionCycleError", "EvalError",
@@ -47,8 +48,9 @@ __all__ = [
     "Pow", "Mul", "Add",
     "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS",
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational",
-    "canonicalize", "rebuild", "term_map", "to_text", "atoms",
-    "diff_atom", "total_derivative", "substitute", "substitute_functions",
+    "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
+    "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
+    "substitute_functions", "bind_jets",
     "eval_numeric", "equals", "max_abs_sample", "reduce_quotients",
 ]
 
@@ -1055,6 +1057,20 @@ def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
     return rebuild(e, fn)
 
 
+def bind_jets(e: Expr, bodies: Mapping[Sym, Expr]) -> Expr:
+    """Substitute each dependent symbol by its body and each of its jets u_J
+    by the total derivative D_J of the body, taken in J's sorted index
+    order."""
+    bindings: dict[Expr, Expr] = dict(bodies)
+    for atom in atoms(e):
+        if isinstance(atom, Jet) and atom.base in bodies:
+            out = bodies[atom.base]
+            for ix in atom.indices:
+                out = total_derivative(out, ix)
+            bindings[atom] = out
+    return substitute(e, bindings)
+
+
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------
@@ -1062,42 +1078,17 @@ def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
 _MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
             "arctan": math.atan, "atan2": math.atan2}
 
-_FD_STEPS = (6e-6, 1.8e-4, 1.2e-3, 6e-3)  # central-difference steps per order
 
-
-def _resolve_assignment(assignment: Mapping) -> tuple[dict[Expr, float],
-                                                      dict[UnknownFn, Callable]]:
+def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
+    """IEEE-double evaluation.  ``assignment`` maps Sym/Jet atoms to numbers;
+    an opaque-function application has no value and raises
+    UnassignedSymbolError.  A result or constant beyond the double range
+    raises EvalError (not DomainEvalError, which samplers skip)."""
     values: dict[Expr, float] = {}
-    callables: dict[UnknownFn, Callable] = {}
     for k, v in assignment.items():
-        if isinstance(k, UnknownFn):
-            callables[k] = v
-        elif isinstance(k, (Sym, Jet)):
-            values[k] = float(v)
-        else:
+        if not isinstance(k, (Sym, Jet)):
             raise ExprError(f"bad assignment key {k!r}")
-    return values, callables
-
-
-def _fd_unknown(fn_callable: Callable, derivs: tuple[int, ...],
-                argvals: list[float]) -> float:
-    """Nested central finite differences for formal derivatives of a callable."""
-    if not derivs:
-        return float(fn_callable(*argvals))
-    slot, rest = derivs[0], derivs[1:]
-    h = _FD_STEPS[min(len(derivs), len(_FD_STEPS)) - 1]
-    hi = list(argvals)
-    lo = list(argvals)
-    hi[slot] += h
-    lo[slot] -= h
-    return (_fd_unknown(fn_callable, rest, hi) - _fd_unknown(fn_callable, rest, lo)) / (2 * h)
-
-
-def eval_numeric(e: Expr, assignment: Mapping) -> float:
-    """IEEE-double evaluation.  ``assignment`` maps Sym/Jet atoms to numbers
-    and, optionally, UnknownFn identities to plain Python callables whose
-    formal derivatives are approximated by central finite differences."""
-    values, callables = _resolve_assignment(assignment)
+        values[k] = float(v)
 
     def ev(node: Expr) -> float:
         if isinstance(node, Num):
@@ -1111,11 +1102,7 @@ def eval_numeric(e: Expr, assignment: Mapping) -> float:
             args = [ev(a) for a in node.args]
             return _MATH_FN[node.fn](*args)
         if isinstance(node, Unknown):
-            fn_callable = callables.get(node.fn)
-            if fn_callable is None:
-                raise UnassignedSymbolError(
-                    f"no callable registered for unknown function {node.fn.name}")
-            return _fd_unknown(fn_callable, node.derivs, [ev(a) for a in node.args])
+            raise UnassignedSymbolError(f"no value for the opaque function {node.fn.name}")
         if isinstance(node, Pow):
             base = ev(node.base)
             exp = node.exp
@@ -1133,7 +1120,10 @@ def eval_numeric(e: Expr, assignment: Mapping) -> float:
             return math.fsum(ev(t) for t in node.terms)
         raise TypeError(f"not an Expr: {node!r}")
 
-    return ev(e)
+    try:
+        return ev(e)
+    except OverflowError:
+        raise EvalError("numeric overflow: a value exceeds the double range") from None
 
 
 def _random_polynomial(rng, slots: tuple[Sym, ...]) -> Expr:
@@ -1204,8 +1194,8 @@ def _factor_text(factor: Expr) -> str:
     return btext if exp == 1 else btext + _exp_text(exp)
 
 
-def _term_text(term: Expr) -> tuple[int, str]:
-    """Return (sign, unsigned text) for a canonical non-Add term."""
+def signed_term(term: Expr) -> tuple[int, str]:
+    """(sign, unsigned text) of a canonical non-Add term, e.g. (-1, "2*x")."""
     coeff, factors = _as_term(term)
     sign = -1 if coeff < 0 else 1
     coeff = abs(coeff)
@@ -1214,6 +1204,18 @@ def _term_text(term: Expr) -> tuple[int, str]:
     parts = [] if coeff == 1 else [str(coeff)]
     parts += [_factor_text(f) for f in factors]
     return sign, "*".join(parts)
+
+
+def join_signed(parts: Iterable[tuple[int, str]]) -> str:
+    """Join (sign, unsigned text) pairs as "-a + b - c"."""
+    out = []
+    for sign, text in parts:
+        if out:
+            out.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            out.append("-")
+        out.append(text)
+    return "".join(out)
 
 
 def to_text(e: Expr) -> str:
@@ -1236,13 +1238,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Pow):
         return _factor_text(e)
     if isinstance(e, Mul):
-        sign, text = _term_text(e)
-        return ("-" if sign < 0 else "") + text
+        return join_signed([signed_term(e)])
     if isinstance(e, Add):
-        sign, text = _term_text(e.terms[0])
-        out = ("-" if sign < 0 else "") + text
-        for term in e.terms[1:]:
-            sign, text = _term_text(term)
-            out += (" - " if sign < 0 else " + ") + text
-        return out
+        return join_signed(map(signed_term, e.terms))
     raise TypeError(f"not an Expr: {e!r}")

@@ -6,6 +6,14 @@ The supported chart catalog: constant-coefficient combinations
 c1*X1 + c2*X2 + c3*X3 (two independent linear invariants), pure rotations
 c4*X4 (xi = x^2 + y^2, eta = t), and rotation-plus-time-translation
 c4*X4 + c3*X3 (xi = x^2 + y^2, eta = atan2(y, x) + (c4/c3)*t).
+
+The reduction needs one rewrite, not one per chart kind.  After the chain
+rule, x, y and t enter the residual only through the gradients of the
+invariants (the invariant-coordinate construction of Olver, Applications of
+Lie Groups to Differential Equations, ch. 3).  Linear invariants have
+constant gradients, so nothing is left over.  The rotation charts leave
+even powers of x and y, in terms and in power bases, that combine into
+x^2 + y^2 = xi; folding y^2 -> xi - x^2 removes them.
 """
 
 from __future__ import annotations
@@ -15,11 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import (Add, Expr, ExprError, Jet, Kind, Num, Pow, Sym, Unknown,
-                   UnknownFn, ZERO, add, atoms, diff_atom, eval_numeric, func,
-                   mul, pow_, rebuild, reduce_quotients, sub, substitute,
-                   substitute_functions, to_text, unknown)
-from .linalg import solve_exact
+from .expr import (Add, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
+                   UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
+                   eval_numeric, func, mul, pow_, rebuild, reduce_quotients,
+                   sub, substitute_functions, to_text, unknown)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
@@ -49,6 +56,7 @@ class ReductionError(ExprError):
 
 H_FN = UnknownFn("h", (XI, ETA))
 G_FN = UnknownFn("g", (XI, ETA))
+_RADIAL = add(pow_(x, 2), pow_(y, 2))
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class SimilarityChart:
     generator: Generator
     xi: Expr
     eta: Expr
-    kind: str                         # "linear" | "rotation"
+    kind: str                         # "linear" | "rotation"; a label only
     u_subst: Expr = None              # type: ignore[assignment]
     f_subst: Expr = None              # type: ignore[assignment]
 
@@ -123,11 +131,10 @@ def characteristic_invariants(v: Generator) -> SimilarityChart:
             or sub(v.xi1, mul(Num(c4), y)) != ZERO
             or sub(v.xi2, mul(Num(-c4), x)) != ZERO):
         raise UnsupportedGeneratorError("coefficients outside the chart catalog")
-    radial = add(pow_(x, 2), pow_(y, 2))
     if c3 == 0:
-        return SimilarityChart(v, radial, t, "rotation")
+        return SimilarityChart(v, _RADIAL, t, "rotation")
     angular = add(func("atan2", y, x), mul(Num(c4 / c3), t))
-    return SimilarityChart(v, radial, angular, "rotation")
+    return SimilarityChart(v, _RADIAL, angular, "rotation")
 
 
 def _invariant_linear_forms(ks: tuple[Fraction, Fraction, Fraction]) -> list[Expr]:
@@ -192,12 +199,17 @@ def _is_base_atom(atom: Expr) -> bool:
 
 def reduce_pde(pde: PDEInstance, chart: SimilarityChart) -> ReducedPDE:
     """Substitute u = h(xi, eta), f = g(xi, eta) into the residual, expand all
-    derivatives by the chain rule and rewrite the result over (xi, eta)."""
-    named = _name_reduced_jets(pde.compose(chart.u_subst, chart.f_subst), chart)
-    if chart.kind == "linear":
-        reduced = _rewrite_linear(named, chart)
-    else:
-        reduced = _rewrite_rotation(named, chart)
+    derivatives by the chain rule and rewrite the result over (xi, eta).
+
+    Once the h/g applications are named as reduced jets, x, y and t enter
+    only through the gradients of xi and eta.  A linear chart has constant
+    gradients, so nothing is left to rewrite.  The radial invariant
+    xi = x^2 + y^2 leaves even powers of x and y, and folding y^2 into
+    xi - x^2 removes them; the test reads xi, not the ``kind`` label.
+    ``ReducedPDE`` rejects any other leftover with ReductionError."""
+    reduced = _name_reduced_jets(pde.compose(chart.u_subst, chart.f_subst), chart)
+    if chart.xi == _RADIAL:
+        reduced = _eliminate_square(reduced, y, sub(XI, pow_(x, 2)))
     return ReducedPDE(reduced, chart)
 
 
@@ -216,62 +228,6 @@ def _name_reduced_jets(e: Expr, chart: SimilarityChart) -> Expr:
         return None
 
     return rebuild(e, fn)
-
-
-def _rewrite_linear(e: Expr, chart: SimilarityChart) -> Expr:
-    rows = []
-    for inv in (chart.xi, chart.eta):
-        row = []
-        for coord in (x, y, t):
-            val = _constant_of(diff_atom(inv, coord))
-            if val is None:
-                raise ReductionError("linear chart has non-constant gradient")
-            row.append(val)
-        rows.append(row)
-    completion = None
-    for k in range(3):
-        unit = [Fraction(int(j == k)) for j in range(3)]
-        det = _det3(rows + [unit])
-        if det != 0:
-            completion = unit
-            break
-    matrix = rows + [completion]
-    spare = Sym("zeta", Kind.PARAMETER, 98)
-    new_coords = (XI, ETA, spare)
-    bindings: dict[Expr, Expr] = {}
-    transposed = _transpose(matrix)
-    for idx, coord in enumerate((x, y, t)):
-        rhs = [Fraction(int(r == idx)) for r in range(3)]
-        # solve M^T col = e_idx, i.e. col is row idx of M^-1:
-        # coord = sum_r col[r] * (xi, eta, zeta)[r]
-        col = solve_exact(transposed, rhs)
-        bindings[coord] = add(*[mul(Num(col[r]), new_coords[r]) for r in range(3)])
-    out = substitute(e, bindings)
-    if any(atom == spare for atom in atoms(out)):
-        raise ReductionError("residual depends on a non-invariant direction")
-    return out
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def _det3(m) -> Fraction:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _rewrite_rotation(e: Expr, chart: SimilarityChart) -> Expr:
-    if chart.eta == t:
-        e = substitute(e, {t: ETA})
-    elif any(atom == t for atom in atoms(e)):
-        raise ReductionError("residual unexpectedly depends on t")
-    e = _eliminate_square(e, y, sub(XI, pow_(x, 2)))
-    bad = [to_text(atom) for atom in atoms(e) if atom in (x, y)]
-    if bad:
-        raise ReductionError(f"residual still mentions {', '.join(bad)}")
-    return e
 
 
 def _eliminate_square(e: Expr, var: Sym, replacement: Expr) -> Expr:
@@ -358,16 +314,7 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
         hbody = add(*_combine(hcoeffs, monomials))
         gbody = add(*_combine(gcoeffs, monomials))
 
-        red_bindings: dict[Expr, Expr] = {}
-        for atom in atoms(candidate):
-            if isinstance(atom, Sym) and atom in (H_DEP, G_DEP):
-                red_bindings[atom] = hbody if atom == H_DEP else gbody
-            elif isinstance(atom, Jet) and atom.base in (H_DEP, G_DEP):
-                expr = hbody if atom.base == H_DEP else gbody
-                for ix in atom.indices:
-                    expr = diff_atom(expr, ix)
-                red_bindings[atom] = expr
-        reduced_expr = substitute(candidate, red_bindings)
+        reduced_expr = bind_jets(candidate, {H_DEP: hbody, G_DEP: gbody})
 
         for _ in range(n_points):
             px, py, pt = rng.uniform(0.6, 2.0, size=3)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .expr import Expr, Jet, Kind, Sym, UnknownFn
+from .expr import Expr, Kind, Sym, UnknownFn
 
 __all__ = [
     "VarSpace", "base_space", "reduced_space",
     "x", "y", "t", "u", "f", "xi", "eta", "h", "g",
     "a", "b", "s", "eps", "c1", "c2", "c3", "c4", "c5",
-    "jet",
 ]
 
 x = Sym("x", Kind.INDEPENDENT, 0)
@@ -42,10 +41,6 @@ s = Sym("s", Kind.PARAMETER, 7)
 eps = Sym("eps", Kind.PARAMETER, 8)
 
 _PARAMETERS = (a, b, c1, c2, c3, c4, c5, s, eps)
-
-
-def jet(base: Sym, *indices: Sym) -> Jet:
-    return Jet(base, tuple(indices))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Mul, Num,
-                   Pow, Sym, UnknownFn, ZERO, ONE, add, atoms, diff_atom,
-                   max_abs_sample, mul, neg, sub, substitute, term_map,
-                   to_text, total_derivative)
+from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Num, Pow,
+                   Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets, diff_atom,
+                   join_signed, max_abs_sample, mul, neg, signed_term, sub,
+                   substitute, term_map, to_text, total_derivative)
 from .linalg import solve_exact
 from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
@@ -171,17 +171,10 @@ class PDEInstance:
         object.__setattr__(self, "solved_form", solved)
 
     def compose(self, u_expr: Expr, f_expr: Expr) -> Expr:
-        """The residual with u = u_expr and f = f_expr, each u-jet bound to
-        the matching total derivative of u_expr.  With f_expr = 0 this is
+        """The residual with u = u_expr and f = f_expr, each jet bound to
+        the matching total derivative (``bind_jets``).  With f_expr = 0 this is
         the equation's linear operator applied to u_expr."""
-        bindings: dict[Expr, Expr] = {u: u_expr, f: f_expr}
-        for atom in atoms(self.residual):
-            if isinstance(atom, Jet) and atom.base == u:
-                out = u_expr
-                for ix in atom.indices:
-                    out = total_derivative(out, ix)
-                bindings[atom] = out
-        return substitute(self.residual, bindings)
+        return bind_jets(self.residual, {u: u_expr, f: f_expr})
 
 
 def viscoelastic_pde() -> PDEInstance:
@@ -300,34 +293,12 @@ def combo_text(coeffs: Sequence[Expr], labels: Sequence[str]) -> str:
     for coeff, label in zip(coeffs, labels):
         if coeff == ZERO:
             continue
-        negated = neg(coeff)
-        if coeff == ONE:
-            parts.append((1, label))
-        elif negated == ONE:
-            parts.append((-1, label))
+        if isinstance(coeff, Add):
+            sign, text = 1, f"({to_text(coeff)})"
         else:
-            sign = 1
-            if isinstance(coeff, (Num, Mul)) and _leading_negative(coeff):
-                sign, coeff = -1, negated
-            text = to_text(coeff)
-            if isinstance(coeff, Add):
-                text = f"({text})"
-            parts.append((sign, f"{text}*{label}"))
-    if not parts:
-        return "0"
-    sign, text = parts[0]
-    out = ("-" if sign < 0 else "") + text
-    for sign, text in parts[1:]:
-        out += (" - " if sign < 0 else " + ") + text
-    return out
-
-
-def _leading_negative(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return e.value < 0
-    if isinstance(e, Mul):
-        return e.coeff < 0
-    return False
+            sign, text = signed_term(coeff)
+        parts.append((sign, label if text == "1" else f"{text}*{label}"))
+    return join_signed(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------

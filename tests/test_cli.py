@@ -199,6 +199,13 @@ class TestErrorsAndDeterminism:
         monkeypatch.setenv("VISCOSYM_FORMAT", "markdown")
         code, out = run_cli(capsys, "table")
         assert out.startswith("| [ , ] |")
+        _, out = run_cli(capsys, "table", "--format=json")   # a flag still wins
+        assert out.startswith("{")
+        monkeypatch.setenv("VISCOSYM_SEED", "7")
+        _, by_env = run_cli(capsys, "verify", "--generator", '{"xi1": "t"}')
+        monkeypatch.delenv("VISCOSYM_SEED")
+        _, by_flag = run_cli(capsys, "verify", "--generator", '{"xi1": "t"}', "--seed=7")
+        assert by_env == by_flag
 
     def test_nesting_limit(self, capsys):
         code, payload = run_json(capsys, "verify", "verify",
@@ -245,6 +252,10 @@ class TestInputValidation:
         *[["flow", "--generator", "X4", "--seeds", name, "--eps", "0:1:5"]
           for name in ("short.json", "text.json", "object.json", "nan.json", "inf.csv",
                        "huge.json")],
+        # float overflow in the sampled fallback
+        ["verify", "--generator", '{"xi1": "x^1000000"}'],
+        ["verify", "--generator", '{"xi1": "exp(exp(exp(x)))"}'],
+        ["verify", "--generator", '{"xi1": "10^400*x"}'],
     ], ids=" ".join)
     def test_exit_two(self, capsys, tmp_path, argv):
         for name, text in self.SEEDS.items():
@@ -255,6 +266,22 @@ class TestInputValidation:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("var, flag, value", [("VISCOSYM_SEED", "--seed", "abc"),
+                                                  ("VISCOSYM_FORMAT", "--format", "xml")])
+    def test_bad_environment_default_fails_like_its_flag(self, capsys, monkeypatch,
+                                                         var, flag, value):
+        with pytest.raises(SystemExit) as by_flag:
+            run([f"{flag}={value}", "table"])
+        flag_err = capsys.readouterr().err
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as by_env:
+            run(["table"])
+        captured = capsys.readouterr()
+        assert by_env.value.code == by_flag.value.code == 2
+        assert captured.out == ""
+        assert captured.err == flag_err
+        assert f"argument {flag}: invalid" in captured.err
 
     def test_eps_count_is_capped(self, capsys, tmp_path):
         # a short argv must not buy hours of sampling: N is checked before

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscosym.expr import (DomainEvalError, Jet, JetOrderError, Num, Pow,
-                           SubstitutionCycleError, UnassignedSymbolError,
-                           UnknownFn, ZERO, ONE, add, canonicalize,
-                           diff_atom, equals, eval_numeric, mul, pow_,
-                           rebuild, reduce_quotients, sub, substitute,
+from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
+                           Num, Pow, SubstitutionCycleError,
+                           UnassignedSymbolError, UnknownFn, ZERO, ONE, add,
+                           canonicalize, diff_atom, equals, eval_numeric,
+                           join_signed, max_abs_sample, mul, pow_, rebuild,
+                           reduce_quotients, signed_term, sub, substitute,
                            substitute_functions, term_map, to_text,
                            total_derivative)
 from viscosym.parsing import ParseError, UnknownIdentifierError
@@ -309,16 +310,35 @@ class TestEvaluation:
         with pytest.raises(DomainEvalError):
             eval_numeric(space.parse("sqrt(x)"), {x: -2.0})
 
-    def test_unknown_callable_standin(self, space):
+    def test_opaque_function_has_no_value(self, space):
         fn = UnknownFn("F", (x, y, t))
         sp = space.with_unknowns(fn)
-        e = sp.parse("F_t(x, y, t)")
-        value = eval_numeric(e, {x: 0.3, y: 0.4, t: 0.5,
-                                 fn: lambda px, py, pt: pt ** 2})
-        assert value == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(UnassignedSymbolError, match="opaque function F"):
+            eval_numeric(sp.parse("F_t(x, y, t)"), {x: 0.3, y: 0.4, t: 0.5})
+
+    @pytest.mark.parametrize("text, value", [("x^1000000", 2.0), ("exp(exp(exp(x)))", 2.0),
+                                             ("10^400*x", 0.5)])
+    def test_overflow_is_a_typed_error(self, space, text, value):
+        # not a DomainEvalError: a sampler would skip the point and could
+        # then pass the expression as zero
+        with pytest.raises(EvalError, match="overflow") as info:
+            eval_numeric(space.parse(text), {x: value})
+        assert not isinstance(info.value, DomainEvalError)
+        with pytest.raises(EvalError, match="overflow"):
+            max_abs_sample(space.parse(text), lo=value, hi=value)
 
     def test_equals_fallback(self, space):
         lhs = space.parse("sin(x)^2")
         rhs = space.parse("1 - cos(x)^2")
         assert equals(lhs, rhs)
         assert not equals(space.parse("x"), space.parse("y"))
+
+
+class TestPrinting:
+    def test_signed_join(self, space):
+        assert join_signed([(-1, "a"), (1, "b"), (-1, "c")]) == "-a + b - c"
+        assert join_signed([(1, "a")]) == "a"
+        assert signed_term(space.parse("-3/2*x^2")) == (-1, "3/2*x^2")
+        assert signed_term(space.parse("-1")) == (-1, "1")
+        e = space.parse("-2*x*y + 3 - sin(t)")
+        assert to_text(e) == join_signed(signed_term(term) for term in e.terms)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from viscosym.expr import (Add, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
-                           diff_atom, eval_numeric, mul, pow_, sub, substitute,
-                           substitute_functions, to_text)
+                           bind_jets, diff_atom, eval_numeric, mul, pow_, sub,
+                           substitute, substitute_functions, to_text,
+                           total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 SimilarityChart,
                                 UnsupportedGeneratorError,
@@ -16,8 +17,8 @@ from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 published_reduction_rows,
                                 published_similarity_rows, reduce_pde,
                                 verify_reduction)
-from viscosym.spaces import (a, b, base_space, eta, g, h, reduced_space, t, x,
-                             xi, y)
+from viscosym.spaces import (a, b, base_space, eta, f, g, h, reduced_space, t,
+                             u, x, xi, y)
 from viscosym.vector_fields import (Generator, basis_combination,
                                     parse_basis_combination, standard_basis)
 
@@ -145,6 +146,82 @@ class TestReduce:
         assert verify_reduction(pde, flipped, reduced, seed=5,
                                 n_functions=4, n_points=8).passed
 
+    def test_chart_outside_catalog_raises(self, pde):
+        # y^2 is invariant under X3, but its gradient is not constant and it
+        # is not the radial invariant, so y survives the chain rule
+        for kind in ("linear", "rotation"):
+            chart = SimilarityChart(parse_basis_combination("X3"), x,
+                                    pow_(y, 2), kind)
+            with pytest.raises(ReductionError, match="base-space quantities: y"):
+                reduce_pde(pde, chart)
+
+    def test_kind_label_does_not_choose_the_rewrite(self, pde):
+        rotation = characteristic_invariants(standard_basis()[3])
+        relabelled = SimilarityChart(rotation.generator, rotation.xi,
+                                     rotation.eta, "linear")
+        assert reduce_pde(pde, relabelled).residual == reduce_pde(pde, rotation).residual
+
+
+CATALOG = ["X1", "X2", "X3", "X1 + X3", "X2 + X3", "2*X1 - 3*X2 + X3", "X4",
+           "X4 + 2*X3"]
+
+
+def reference_compose(pde, u_expr, f_expr):
+    """PDEInstance.compose as it was before bind_jets."""
+    bindings = {u: u_expr, f: f_expr}
+    for atom in atoms(pde.residual):
+        if isinstance(atom, Jet) and atom.base == u:
+            out = u_expr
+            for ix in atom.indices:
+                out = total_derivative(out, ix)
+            bindings[atom] = out
+    return substitute(pde.residual, bindings)
+
+
+def reference_bind_reduced(candidate, hbody, gbody):
+    """verify_reduction's h/g binding as it was before bind_jets: jets by
+    repeated diff_atom over (xi, eta)."""
+    bindings = {}
+    for atom in atoms(candidate):
+        if isinstance(atom, Sym) and atom in (h, g):
+            bindings[atom] = hbody if atom == h else gbody
+        elif isinstance(atom, Jet) and atom.base in (h, g):
+            expr = hbody if atom.base == h else gbody
+            for ix in atom.indices:
+                expr = diff_atom(expr, ix)
+            bindings[atom] = expr
+    return substitute(candidate, bindings)
+
+
+def catalog_charts():
+    charts = [characteristic_invariants(parse_basis_combination(label))
+              for label in CATALOG]
+    charts += [SimilarityChart(parse_basis_combination(label), cxi, ceta, "linear")
+               for label, cxi, ceta in published_similarity_rows()]
+    return charts
+
+
+class TestBindJets:
+    """bind_jets builds the same trees as the two loops it replaced."""
+
+    def test_compose_matches_reference(self, pde):
+        mono = mul(pow_(xi, 2), eta)
+        for chart in catalog_charts():
+            pulled = substitute_functions(chart.u_subst, {H_FN: mono})
+            for u_expr, f_expr in ((chart.u_subst, chart.f_subst),
+                                   (pulled, ZERO), (ZERO, pulled)):
+                assert (pde.compose(u_expr, f_expr)
+                        == reference_compose(pde, u_expr, f_expr)), to_text(chart.xi)
+
+    def test_reduced_side_matches_reference(self, pde):
+        hbody = REDUCED.parse("3*xi^4 - xi*eta^2 + 2*eta - 1")
+        gbody = REDUCED.parse("xi^2*eta^2 + 5")
+        for chart in catalog_charts():
+            reduced = reduce_pde(pde, chart).residual
+            wrong = add(reduced, mul(a, Jet(h, (xi, eta, eta))), Jet(g, (xi,)), h)
+            for candidate in (reduced, wrong):
+                assert (bind_jets(candidate, {h: hbody, g: gbody})
+                        == reference_bind_reduced(candidate, hbody, gbody))
 
 
 def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points):
@@ -168,16 +245,7 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
         gbody = random_body(rng)
         original = pde.compose(substitute_functions(chart.u_subst, {H_FN: hbody}),
                                substitute_functions(chart.f_subst, {G_FN: gbody}))
-        bindings = {}
-        for atom in atoms(candidate):
-            if isinstance(atom, Sym) and atom in (h, g):
-                bindings[atom] = hbody if atom == h else gbody
-            elif isinstance(atom, Jet) and atom.base in (h, g):
-                expr = hbody if atom.base == h else gbody
-                for ix in atom.indices:
-                    expr = diff_atom(expr, ix)
-                bindings[atom] = expr
-        reduced_expr = substitute(candidate, bindings)
+        reduced_expr = reference_bind_reduced(candidate, hbody, gbody)
         for _ in range(n_points):
             px, py, pt = rng.uniform(0.6, 2.0, size=3)
             pa, pb = rng.uniform(0.5, 2.0, size=2)
