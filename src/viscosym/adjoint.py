@@ -10,6 +10,7 @@ mismatches reported rather than silently corrected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,6 @@ __all__ = [
     "apply_adjoint", "normalize", "equivalent", "PUBLISHED_ADJOINT_TABLE",
 ]
 
-_SERIES_LIMIT = 12
 _S2 = Sym("s2", Kind.PARAMETER, 99)   # fresh parameter for the group-law check
 
 
@@ -79,52 +79,41 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
     """Closed form of exp(param * A) for a rational matrix A: polynomial when
     A is nilpotent, sin/cos resummation when A^3 = -w^2 A with rational w."""
     n = len(a)
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    out = [[Num(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
-    factorial = 1
-    for k in range(1, _SERIES_LIMIT + 1):
-        power = mat_mul_rat(power, a)
-        if mat_is_zero(power):
-            return expr_matrix(out)
-        factorial *= k
-        coeff = pow_(param, Fraction(k))
-        for i in range(n):
-            for j in range(n):
-                if power[i][j] != 0:
-                    out[i][j] = add(out[i][j],
-                                    mul(Num(power[i][j] / factorial), coeff))
-    a2 = mat_mul_rat(a, a)
-    a3 = mat_mul_rat(a2, a)
-    lam = None
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != 0:
-                lam = a3[i][j] / a[i][j]
-                break
-        if lam is not None:
-            break
-    if lam is not None and lam < 0:
-        scaled = [[v * lam for v in row] for row in a]
-        if a3 == scaled:
-            omega = pow_(Num(-lam), Fraction(1, 2))
-            if isinstance(omega, Num):
-                # exp(pA) = I + sin(w p)/w A + (1 - cos(w p))/w^2 A^2
-                sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
-                cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
-                            Num(1 / omega.value ** 2))
-                rows = []
-                for i in range(n):
-                    row = []
-                    for j in range(n):
-                        entry = add(Num(Fraction(int(i == j))),
-                                    mul(sin_c, Num(a[i][j])),
-                                    mul(cos_c, Num(a2[i][j])))
-                        row.append(entry)
-                    rows.append(tuple(row))
-                return tuple(rows)
+    # A nilpotent n x n matrix has A^n = 0 (Cayley-Hamilton), so A^1..A^n decide.
+    powers = [a]
+    while len(powers) < n and not mat_is_zero(powers[-1]):
+        powers.append(mat_mul_rat(powers[-1], a))
+    if mat_is_zero(powers[-1]):
+        out = [[Num(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
+        factorial = 1
+        for k, power in enumerate(powers[:-1], start=1):
+            factorial *= k
+            coeff = pow_(param, Fraction(k))
+            for i in range(n):
+                for j in range(n):
+                    if power[i][j] != 0:
+                        out[i][j] = add(out[i][j],
+                                        mul(Num(power[i][j] / factorial), coeff))
+        return expr_matrix(out)
+    a2 = powers[1] if n > 1 else mat_mul_rat(a, a)
+    a3 = powers[2] if n > 2 else mat_mul_rat(a2, a)
+    lam = next((a3[i][j] / a[i][j] for i in range(n) for j in range(n)
+                if a[i][j] != 0), None)
+    if lam is not None and lam < 0 and a3 == [[v * lam for v in row] for row in a]:
+        omega = pow_(Num(-lam), Fraction(1, 2))
+        if isinstance(omega, Num):
+            # exp(pA) = I + sin(w p)/w A + (1 - cos(w p))/w^2 A^2
+            sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
+            cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
+                        Num(1 / omega.value ** 2))
+            return tuple(
+                tuple(add(Num(Fraction(int(i == j))), mul(sin_c, Num(a[i][j])),
+                          mul(cos_c, Num(a2[i][j])))
+                      for j in range(n))
+                for i in range(n))
     raise AdjointSeriesError(
-        f"series did not terminate within {_SERIES_LIMIT} terms and does not "
-        "match the rotation pattern A^3 = -w^2 A")
+        "A is neither nilpotent (polynomial exp) nor of the rotation form "
+        "A^3 = -w^2 A with rational w (sin/cos exp)")
 
 
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
@@ -139,8 +128,14 @@ def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> Adjoi
 
 
 def adjoint_matrices(constants: StructureConstants | None = None) -> tuple[AdjointMatrix, ...]:
-    if constants is None:
-        constants = commutator_table()
+    """Ad(exp(s*X_t)) for t = 1..dim.  Each algebra's matrices are built and
+    self-checked once per process; the returned tuple is shared between
+    callers and immutable."""
+    return _adjoint_matrices(constants if constants is not None else commutator_table())
+
+
+@functools.lru_cache(maxsize=8)
+def _adjoint_matrices(constants: StructureConstants) -> tuple[AdjointMatrix, ...]:
     return tuple(adjoint_matrix(t, constants) for t in range(1, constants.dim + 1))
 
 

@@ -723,11 +723,13 @@ def _nth_root(n: int, q: int) -> int | None:
         return None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** q == n:
-            return cand
-    return None
+    if q == 2:
+        r = math.isqrt(n)
+    else:   # integer Newton iteration from above ends at floor(n ** (1/q))
+        r = 1 << -(-n.bit_length() // q)
+        while (nxt := ((q - 1) * r + n // r ** (q - 1)) // q) < r:
+            r = nxt
+    return r if r ** q == n else None
 
 
 def _rational_power(value: Fraction, exp: Fraction) -> Fraction | None:
@@ -1082,8 +1084,9 @@ _MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
 def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
     """IEEE-double evaluation.  ``assignment`` maps Sym/Jet atoms to numbers;
     an opaque-function application has no value and raises
-    UnassignedSymbolError.  A result or constant beyond the double range
-    raises EvalError (not DomainEvalError, which samplers skip)."""
+    UnassignedSymbolError.  A result, intermediate or constant beyond the
+    double range, or a non-finite result, raises EvalError (not
+    DomainEvalError, which samplers skip)."""
     values: dict[Expr, float] = {}
     for k, v in assignment.items():
         if not isinstance(k, (Sym, Jet)):
@@ -1121,9 +1124,12 @@ def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
         raise TypeError(f"not an Expr: {node!r}")
 
     try:
-        return ev(e)
-    except OverflowError:
-        raise EvalError("numeric overflow: a value exceeds the double range") from None
+        value = ev(e)
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ValueError):   # fsum and sin/cos raise ValueError on inf
+        pass
+    raise EvalError("numeric overflow: a value exceeds the double range")
 
 
 def _random_polynomial(rng, slots: tuple[Sym, ...]) -> Expr:

@@ -5,6 +5,7 @@ condition for the viscoelastic equation, and determining-equation extraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,10 +267,15 @@ class StructureConstants:
 def commutator_table(basis: Sequence[Generator] | None = None) -> StructureConstants:
     """Full structure-constant tensor of a basis (default: the standard one).
 
-    Raises NotClosedError naming the offending pair when some bracket leaves
-    the basis span.
+    Each basis is built and Jacobi-checked once per process; the returned
+    tensor is shared between callers and immutable.  Raises NotClosedError
+    naming the offending pair when some bracket leaves the basis span.
     """
-    basis = tuple(basis) if basis is not None else standard_basis()
+    return _commutator_table(tuple(basis) if basis is not None else standard_basis())
+
+
+@functools.lru_cache(maxsize=8)
+def _commutator_table(basis: tuple[Generator, ...]) -> StructureConstants:
     labels = tuple(gen.label or f"X{i + 1}" for i, gen in enumerate(basis))
     n = len(basis)
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]

@@ -10,14 +10,105 @@ import pytest
 from viscosym.adjoint import (AdjointSeriesError, _exp_series, adjoint_matrices,
                               adjoint_matrix, adjoint_table, apply_adjoint,
                               audit_adjoint_table, equivalent, normalize)
-from viscosym.expr import Num, ZERO, ONE, diff_atom, func, mul, sub, substitute
+from viscosym.expr import (Num, ZERO, ONE, add, diff_atom, func, mul, pow_, sub,
+                           substitute)
+from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_rat
 from viscosym.spaces import s
-from viscosym.vector_fields import commutator_table
+from viscosym.vector_fields import commutator_table, standard_basis
 
 
 @pytest.fixture(scope="module")
 def matrices():
     return adjoint_matrices()
+
+
+def _reference_exp_series(a, param):
+    """The series summation before the power-first rewrite: up to 12 terms,
+    then the rotation test."""
+    n = len(a)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out = [[Num(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
+    factorial = 1
+    for k in range(1, 13):
+        power = mat_mul_rat(power, a)
+        if mat_is_zero(power):
+            return expr_matrix(out)
+        factorial *= k
+        coeff = pow_(param, Fraction(k))
+        for i in range(n):
+            for j in range(n):
+                if power[i][j] != 0:
+                    out[i][j] = add(out[i][j],
+                                    mul(Num(power[i][j] / factorial), coeff))
+    a2 = mat_mul_rat(a, a)
+    a3 = mat_mul_rat(a2, a)
+    lam = None
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != 0:
+                lam = a3[i][j] / a[i][j]
+                break
+        if lam is not None:
+            break
+    if lam is not None and lam < 0:
+        scaled = [[v * lam for v in row] for row in a]
+        if a3 == scaled:
+            omega = pow_(Num(-lam), Fraction(1, 2))
+            if isinstance(omega, Num):
+                sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
+                cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
+                            Num(1 / omega.value ** 2))
+                return tuple(
+                    tuple(add(Num(Fraction(int(i == j))), mul(sin_c, Num(a[i][j])),
+                              mul(cos_c, Num(a2[i][j])))
+                          for j in range(n))
+                    for i in range(n))
+    raise AdjointSeriesError("reference series failed")
+
+
+def _rat(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+class TestCache:
+    def test_default_algebra_is_built_once(self):
+        assert commutator_table() is commutator_table()
+        assert commutator_table(list(standard_basis())) is commutator_table()
+        assert adjoint_matrices() is adjoint_matrices()
+        assert adjoint_matrices(commutator_table()) is adjoint_matrices()
+
+    def test_sub_basis_has_its_own_algebra(self):
+        basis = standard_basis()
+        center = commutator_table([basis[2], basis[4]])
+        assert center is commutator_table((basis[2], basis[4]))
+        assert center is not commutator_table()
+        assert center.labels == ("X3", "X5")
+        mats = adjoint_matrices(center)
+        assert mats is adjoint_matrices(center)
+        assert len(mats) == 2
+        assert all(m.entries == ((ONE, ZERO), (ZERO, ONE)) for m in mats)
+
+    def test_single_matrix_is_not_taken_from_the_cache(self, matrices):
+        m4 = adjoint_matrix(4)
+        assert m4 is not matrices[3]
+        assert m4.entries == matrices[3].entries
+
+
+class TestExpSeries:
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_ad_matrices_match_reference(self, t):
+        neg_ad = [[-v for v in row] for row in commutator_table().adjoint_action(t)]
+        assert _exp_series(neg_ad, s) == _reference_exp_series(neg_ad, s)
+
+    @pytest.mark.parametrize("a", [
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],   # A^3 != 0, A^4 = 0
+        [[0]],
+        [[0, -1], [1, 0]],
+        [[0, -3], [3, 0]],
+    ], ids=["jordan4", "zero1", "rotation2", "rotation2-w3"])
+    def test_small_matrices_match_reference(self, a):
+        a = _rat(a)
+        assert _exp_series(a, s) == _reference_exp_series(a, s)
 
 
 class TestMatrices:
@@ -70,7 +161,7 @@ class TestMatrices:
     def test_series_error_for_hyperbolic_pattern(self):
         # A^3 = +A (eigenvalues 0, +-1) is outside nilpotent and rotation forms
         boost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        with pytest.raises(AdjointSeriesError):
+        with pytest.raises(AdjointSeriesError, match="nilpotent.*rotation"):
             _exp_series(boost, s)
 
     def test_bad_index(self):

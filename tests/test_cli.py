@@ -267,6 +267,16 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("generator", [
+        '{"xi1": "sqrt(10^800)*x"}',   # exact root beyond the double range
+        '{"phi1": "10^300*u*x^400"}',  # inf - inf in a sampled sum
+    ])
+    def test_overflow_names_the_double_range(self, capsys, generator):
+        code = run(["verify", "--generator", generator])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: numeric overflow: a value exceeds the double range\n"
+
     @pytest.mark.parametrize("var, flag, value", [("VISCOSYM_SEED", "--seed", "abc"),
                                                   ("VISCOSYM_FORMAT", "--format", "xml")])
     def test_bad_environment_default_fails_like_its_flag(self, capsys, monkeypatch,

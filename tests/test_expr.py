@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
                            Num, Pow, SubstitutionCycleError,
-                           UnassignedSymbolError, UnknownFn, ZERO, ONE, add,
+                           UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
                            canonicalize, diff_atom, equals, eval_numeric,
                            join_signed, max_abs_sample, mul, pow_, rebuild,
                            reduce_quotients, signed_term, sub, substitute,
@@ -50,6 +50,9 @@ class TestParsing:
         assert space.parse("sqrt(4)") == Num(Fraction(2))
         assert space.parse("sqrt(x)^2") == x
         assert space.parse("sqrt(2)*sqrt(2)") == Num(Fraction(2))
+        # perfect powers beyond the double range still fold exactly
+        assert space.parse("sqrt(3^80) - 3^40") == ZERO
+        assert space.parse("sqrt(10^800)") == Num(Fraction(10 ** 400))
 
     def test_unary_minus(self, space):
         assert space.parse("-x + x") == ZERO
@@ -130,6 +133,17 @@ class TestCanonicalForm:
         assert term_map(space.parse("3*x*y - 2 + x")) == {
             (x, y): Fraction(3), (): Fraction(-2), (x,): Fraction(1)}
         assert term_map(ZERO) == {}
+
+    def test_exact_integer_roots(self):
+        assert _nth_root(7 ** 60, 3) == 7 ** 20
+        assert _nth_root(7 ** 60 + 1, 3) is None
+        assert _nth_root(10 ** 800, 2) == 10 ** 400
+        for q in (2, 3, 5):
+            for root in range(60):
+                assert _nth_root(root ** q, q) == root
+                if root > 1:
+                    assert _nth_root(root ** q - 1, q) is None
+                    assert _nth_root(root ** q + 1, q) is None
 
     def test_pythagorean_rewrite(self, space):
         assert space.parse("sin(s)^2 + cos(s)^2") == ONE
@@ -316,8 +330,12 @@ class TestEvaluation:
         with pytest.raises(UnassignedSymbolError, match="opaque function F"):
             eval_numeric(sp.parse("F_t(x, y, t)"), {x: 0.3, y: 0.4, t: 0.5})
 
-    @pytest.mark.parametrize("text, value", [("x^1000000", 2.0), ("exp(exp(exp(x)))", 2.0),
-                                             ("10^400*x", 0.5)])
+    @pytest.mark.parametrize("text, value", [
+        ("x^1000000", 2.0), ("exp(exp(exp(x)))", 2.0), ("10^400*x", 0.5),
+        ("10^300*x^400 - 10^300*x^401", 2.0),   # inf - inf inside fsum
+        ("10^300*x^400 - x", 2.0),              # inf result
+        ("10^300*x^400*exp(-x^1000)", 2.0),     # inf * 0 = nan result
+    ])
     def test_overflow_is_a_typed_error(self, space, text, value):
         # not a DomainEvalError: a sampler would skip the point and could
         # then pass the expression as zero

@@ -1,9 +1,10 @@
 """Module boundaries: no module of the package reaches into a sibling's
-private names, every name a module exports exists, and every name a module
-imports is used."""
+private names, every name a module exports exists, every name a module
+imports is used, and every public function is a plain function."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,15 @@ def test_imported_names_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= set(getattr(importlib.import_module(f"viscosym.{module}"), "__all__", ()))
     assert sorted(imported[name] for name in imported if name not in used) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_functions_are_plain_functions(module):
+    # bench/tracing.py wraps only what inspect.isfunction accepts: a public
+    # function behind lru_cache would silently drop out of every trace
+    name = "viscosym" if module == "__init__" else f"viscosym.{module}"
+    mod = importlib.import_module(name)
+    offenders = [attr for attr, obj in vars(mod).items()
+                 if not attr.startswith("_") and callable(obj) and not inspect.isclass(obj)
+                 and getattr(obj, "__module__", None) == name and not inspect.isfunction(obj)]
+    assert offenders == []

@@ -85,8 +85,9 @@ class TestCommutatorTable:
     def test_not_closed_error(self, space):
         X1 = standard_basis()[0]
         w = Generator(xi1=space.parse("x^2"), label="W")
-        with pytest.raises(NotClosedError, match="X1, W"):
-            commutator_table([X1, w])
+        for _ in range(2):   # a failed build is not cached
+            with pytest.raises(NotClosedError, match="X1, W"):
+                commutator_table([X1, w])
 
     def test_render(self, basis):
         constants = commutator_table(basis)
