@@ -283,6 +283,8 @@ def normalize(v: Sequence[float],
         cls = OptimalClass(4, "4b", 0.0, 0.0, (0.0, 0.0, 0.0, 0.0, 1.0))
     moved = apply_adjoint(word, vec, matrices)
     rep = tuple(scale * comp for comp in moved)
+    if not all(map(math.isfinite, (scale, *rep, *cls.representative))):
+        raise ExprError("numeric overflow: the normalized vector exceeds the double range")
     worst = max(abs(p - q) for p, q in zip(rep, cls.representative))
     if worst > 1e-9:
         raise ExprError(f"normalization self-check failed (error {worst:.2e})")

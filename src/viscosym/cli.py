@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,13 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
 def _finite(value: float | None, what: str) -> float | None:
     if value is not None and not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _coefficient(text: str) -> float:
+    value = _finite(float(text), "--coeffs")
+    if value == 0.0 and Decimal(text) != 0:
+        raise ValueError(f"--coeffs entry {text.strip()!r} is not zero but underflows to 0.0")
     return value
 
 
@@ -186,7 +194,7 @@ def _cmd_determining(args, config: RunConfig) -> int:
 
 
 def _cmd_optimal(args, config: RunConfig) -> int:
-    coeffs = [_finite(float(part), "--coeffs") for part in args.coeffs.split(",")]
+    coeffs = [_coefficient(part) for part in args.coeffs.split(",")]
     result = adjoint.normalize(coeffs)
     payload = {
         "class": result.cls.class_id,

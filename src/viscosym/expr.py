@@ -27,18 +27,28 @@ a tree through the canonical constructors with a per-node replacement hook
 ``term_map`` gives a sum's monomials with their rational coefficients, and
 ``bind_jets`` composes an equation with concrete dependents and their jets.
 
-All values are immutable and hashable; every operation is a pure
-function, so expressions can be shared freely across threads.
+Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): building a node returns the one live node with the
+same class and fields, so equal trees are one object, ``==`` and ``hash``
+are identity, and each node computes its sort key once.  The intern table
+holds weak references, so it holds only live nodes; an entry is inserted
+atomically, so two threads never intern two copies of one tree.  Nodes are
+immutable and every operation is a pure function, so expressions can be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
-from dataclasses import dataclass, fields as dataclass_fields
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -107,10 +117,43 @@ def rational(value: Rat) -> Fraction:
 # Node types
 # ---------------------------------------------------------------------------
 
-class Expr:
-    """Base class of all expression nodes; supports operator syntax."""
+# The intern table: a weak reference to each live node, keyed by the node's
+# class and fields.  A node's death drops its entry, unless the entry was
+# replaced by then.
+_TABLE: dict[tuple, weakref.KeyedRef] = {}
+_NO_REF = type(None)     # called like a dead reference, it gives None
 
-    __slots__ = ()
+
+def _drop(ref: weakref.KeyedRef, _remove=_remove_dead_weakref, _table=_TABLE) -> None:
+    # bound as defaults: the callback can run while the module is torn down
+    _remove(_table, ref.key)
+
+
+class Expr:
+    """Base class of all expression nodes; supports operator syntax.  A node
+    class call returns the interned node, which keeps its sort key in
+    ``_order``."""
+
+    __slots__ = ("_order", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _TABLE.get(key, _NO_REF)()
+        if node is not None:
+            return node
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields, strict=True):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_order", node._sort_key())
+        ref = weakref.KeyedRef(node, _drop, key)
+        while (held := _TABLE.setdefault(key, ref)) is not ref:
+            if (other := held()) is not None:
+                return other        # another thread interned it first
+            _remove_dead_weakref(_TABLE, key)
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -143,73 +186,51 @@ class Expr:
     def __str__(self) -> str:
         return to_text(self)
 
-    def __repr__(self) -> str:
-        return to_text(self)
-
     def is_zero(self) -> bool:
-        return isinstance(self, Num) and self.value == 0
+        return self is ZERO
 
 
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Num(rational(value))
+        return Num(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Expr")
 
 
-def _cached_hash(self) -> int:
-    h = self.__dict__.get("_chash")
-    if h is None:
-        h = hash((self.__class__.__name__,)
-                 + tuple(getattr(self, n) for n in self.__class__._field_names))
-        object.__setattr__(self, "_chash", h)
-    return h
-
-
-def _fast_eq(self, other) -> bool:
-    if self is other:
-        return True
-    if self.__class__ is not other.__class__:
-        return NotImplemented
-    if _cached_hash(self) != _cached_hash(other):
-        return False
-    names = self.__class__._field_names
-    return all(getattr(self, n) == getattr(other, n) for n in names)
-
-
-def _node(cls):
-    """Finish a node dataclass: cache hashes (trees are compared and hashed
-    constantly during canonicalization) and short-circuit equality on them."""
-    cls._field_names = tuple(fd.name for fd in dataclass_fields(cls))
-    cls.__hash__ = _cached_hash
-    cls.__eq__ = _fast_eq
-    return cls
+_key = attrgetter("_order")
+# frozen, slotted and with the dataclass repr; Expr builds, compares, hashes
+_node = dataclass(frozen=True, slots=True, eq=False, init=False)
 
 
 @_node
-@dataclass(frozen=True)
 class Num(Expr):
     value: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", rational(self.value))
+    def __new__(cls, value: Rat):
+        return Expr.__new__(cls, rational(value))
+
+    def _sort_key(self):
+        return (0, self.value)
 
 
 @_node
-@dataclass(frozen=True)
 class Sym(Expr):
     """A named symbol.  ``pos`` fixes the ordering among peers of a kind
     (e.g. x < y < t for jet-index sorting)."""
 
     name: str
     kind: Kind
-    pos: int = 0
+    pos: int
+
+    def __new__(cls, name: str, kind: Kind, pos: int = 0):
+        return Expr.__new__(cls, name, kind, pos)
+
+    def _sort_key(self):
+        return (1, _KIND_RANK[self.kind], self.pos, self.name)
 
 
 @_node
-@dataclass(frozen=True)
 class Jet(Expr):
     """Formal derivative u_J of a dependent symbol, J a sorted multiset of
     independent variables.  Order is capped at JET_ORDER_CAP."""
@@ -217,7 +238,10 @@ class Jet(Expr):
     base: Sym
     indices: tuple[Sym, ...]
 
-    def __post_init__(self):
+    def __new__(cls, base: Sym, indices: Sequence[Sym]):
+        return Expr.__new__(cls, base, tuple(sorted(indices, key=_key)))
+
+    def _sort_key(self):
         if self.base.kind is not Kind.DEPENDENT:
             raise ExprError(f"jet base {self.base.name!r} is not a dependent variable")
         if not self.indices:
@@ -229,8 +253,7 @@ class Jet(Expr):
             raise JetOrderError(
                 f"jet {self.base.name}_{''.join(i.name for i in self.indices)} "
                 f"exceeds the order cap {JET_ORDER_CAP}")
-        object.__setattr__(self, "indices",
-                           tuple(sorted(self.indices, key=lambda s: (s.pos, s.name))))
+        return (2, self.base._order, len(self.indices), tuple(map(_key, self.indices)))
 
     @property
     def order(self) -> int:
@@ -238,19 +261,19 @@ class Jet(Expr):
 
 
 @_node
-@dataclass(frozen=True)
 class Func(Expr):
     """Elementary function application."""
 
     fn: str
     args: tuple[Expr, ...]
 
-    def __post_init__(self):
+    def _sort_key(self):
         arity = ELEMENTARY_FUNCTIONS.get(self.fn)
         if arity is None:
             raise ExprError(f"unknown elementary function {self.fn!r}")
         if arity != len(self.args):
             raise ExprError(f"{self.fn} expects {arity} argument(s), got {len(self.args)}")
+        return (4, self.fn, tuple(map(_key, self.args)))
 
 
 @dataclass(frozen=True)
@@ -272,7 +295,6 @@ class UnknownFn:
 
 
 @_node
-@dataclass(frozen=True)
 class Unknown(Expr):
     """Application of an opaque function, possibly formally differentiated.
 
@@ -284,12 +306,15 @@ class Unknown(Expr):
     derivs: tuple[int, ...]
     args: tuple[Expr, ...]
 
-    def __post_init__(self):
+    def __new__(cls, fn: UnknownFn, derivs: Sequence[int], args: tuple[Expr, ...]):
+        return Expr.__new__(cls, fn, tuple(sorted(derivs)), args)
+
+    def _sort_key(self):
         if len(self.args) != self.fn.arity:
             raise ExprError(f"{self.fn.name} expects {self.fn.arity} argument(s)")
         if any(not (0 <= d < self.fn.arity) for d in self.derivs):
             raise ExprError(f"derivative slot out of range for {self.fn.name}")
-        object.__setattr__(self, "derivs", tuple(sorted(self.derivs)))
+        return (3, self.fn.name, len(self.derivs), self.derivs, tuple(map(_key, self.args)))
 
 
 def unknown(fn: UnknownFn, derivs: Sequence[int], args: Sequence[Expr]) -> Unknown:
@@ -297,68 +322,46 @@ def unknown(fn: UnknownFn, derivs: Sequence[int], args: Sequence[Expr]) -> Unkno
 
 
 @_node
-@dataclass(frozen=True)
 class Pow(Expr):
     """base**exp with a literal rational exponent, exp not in {0, 1}."""
 
     base: Expr
     exp: Fraction
 
+    def _sort_key(self):
+        return (5, self.base._order, self.exp)
+
 
 @_node
-@dataclass(frozen=True)
 class Mul(Expr):
     """coeff * f1 * f2 * ...; factors sorted, bases pairwise distinct."""
 
     coeff: Fraction
     factors: tuple[Expr, ...]
 
+    def _sort_key(self):
+        return (6, tuple(map(_key, self.factors)), self.coeff)
+
 
 @_node
-@dataclass(frozen=True)
 class Add(Expr):
     """t1 + t2 + ...; at least two terms, sorted, monomials pairwise distinct."""
 
     terms: tuple[Expr, ...]
+
+    def _sort_key(self):
+        return (7, tuple(map(_key, self.terms)))
 
 
 ZERO = Num(Fraction(0))
 ONE = Num(Fraction(1))
 
 
-# ---------------------------------------------------------------------------
-# Total order on canonical nodes
-# ---------------------------------------------------------------------------
-
-_RANK = {Num: 0, Sym: 1, Jet: 2, Unknown: 3, Func: 4, Pow: 5, Mul: 6, Add: 7}
-
-
-@lru_cache(maxsize=None)
-def _key(e: Expr):
-    if isinstance(e, Num):
-        return (0, e.value)
-    if isinstance(e, Sym):
-        return (1, _KIND_RANK[e.kind], e.pos, e.name)
-    if isinstance(e, Jet):
-        return (2, _key(e.base), len(e.indices), tuple(_key(i) for i in e.indices))
-    if isinstance(e, Unknown):
-        return (3, e.fn.name, len(e.derivs), e.derivs, tuple(_key(a) for a in e.args))
-    if isinstance(e, Func):
-        return (4, e.fn, tuple(_key(a) for a in e.args))
-    if isinstance(e, Pow):
-        return (5, _key(e.base), e.exp)
-    if isinstance(e, Mul):
-        return (6, tuple(_key(f) for f in e.factors), e.coeff)
-    if isinstance(e, Add):
-        return (7, tuple(_key(t) for t in e.terms))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def _factor_key(factor: Expr):
     # sort x and x^2 adjacently: key on (base, exponent)
     if isinstance(factor, Pow):
-        return (_key(factor.base), factor.exp)
-    return (_key(factor), Fraction(1))
+        return (factor.base._order, factor.exp)
+    return (factor._order, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +464,17 @@ def _adjust_factor(factors: tuple[Expr, ...], pos: int, delta: int) -> tuple[Exp
     return tuple(out)
 
 
-def _with_cos_sq(factors: tuple[Expr, ...], angle: Expr) -> tuple[Expr, ...]:
-    """Multiply a monomial by cos(angle)^2."""
-    cosbase = Func("cos", (angle,))
+def _with_square(factors: tuple[Expr, ...], fn: str, angle: Expr) -> tuple[Expr, ...]:
+    """Multiply a monomial by fn(angle)^2."""
+    square = Func(fn, (angle,))
     out = list(factors)
     for i, fac in enumerate(out):
         base, exp = _base_exp(fac)
-        if base == cosbase:
-            out[i] = Pow(cosbase, exp + 2)
+        if base == square:
+            out[i] = Pow(square, exp + 2)
             break
     else:
-        out.append(Pow(cosbase, Fraction(2)))
+        out.append(Pow(square, Fraction(2)))
     out.sort(key=_factor_key)
     return tuple(out)
 
@@ -481,37 +484,46 @@ def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> None:
 
     Applied to the merged term map until no sin^2/cos^2 partner pair is left;
     each rewrite lowers the total trigonometric degree, so this terminates.
+    The rewrite is not confluent, so the order is fixed: each step takes the
+    least monomial in sort order that has a partner, at its first sin^2
+    factor that has one.  A heap holds every monomial that may have one;
+    after a rewrite only the monomials that may have gained one go back.
     """
-    for factors in acc:
-        if any(True for _ in _split_sin_sq(factors)):
-            break
-    else:
-        return
-    changed = True
-    while changed:
-        changed = False
-        for factors in sorted(acc.keys(), key=lambda fs: tuple(map(_factor_key, fs))):
-            if factors not in acc:
+    tiebreak = itertools.count()
+    heap = [(tuple(map(_factor_key, factors)), next(tiebreak), factors)
+            for factors in acc if any(_split_sin_sq(factors))]
+    heapq.heapify(heap)
+    while heap:
+        factors = heapq.heappop(heap)[2]
+        if factors not in acc:
+            continue
+        for pos, angle in _split_sin_sq(factors):
+            stripped = _adjust_factor(factors, pos, -2)
+            partner = _with_square(stripped, "cos", angle)
+            if partner in acc:
+                break
+        else:
+            continue
+        c1 = acc.pop(factors)
+        c2 = acc.pop(partner)
+        for mono, c in ((stripped, c2), (factors, c1 - c2)):
+            if c == 0:
                 continue
-            for pos, angle in _split_sin_sq(factors):
-                stripped = _adjust_factor(factors, pos, -2)
-                partner = _with_cos_sq(stripped, angle)
-                if partner not in acc:
-                    continue
-                c1 = acc.pop(factors)
-                c2 = acc.pop(partner)
-                for mono, c in ((stripped, c2), (factors, c1 - c2)):
-                    if c == 0:
-                        continue
-                    merged = acc.get(mono, Fraction(0)) + c
-                    if merged == 0:
-                        acc.pop(mono, None)
-                    else:
-                        acc[mono] = merged
-                changed = True
-                break
-            if changed:
-                break
+            merged = acc.get(mono, Fraction(0)) + c
+            if merged == 0:
+                acc.pop(mono, None)
+            else:
+                acc[mono] = merged
+        # back on the heap: the two changed monomials, and each one whose
+        # partner is the stripped one (one of its cos(w)^2 traded for sin(w)^2)
+        gained = [factors, stripped]
+        for i, fac in enumerate(stripped):
+            base, _ = _base_exp(fac)
+            if isinstance(base, Func) and base.fn == "cos":
+                gained.append(_with_square(_adjust_factor(stripped, i, -2), "sin", base.args[0]))
+        for mono in gained:
+            if mono in acc:
+                heapq.heappush(heap, (tuple(map(_factor_key, mono)), next(tiebreak), mono))
 
 
 def term_map(e: Expr) -> dict[tuple[Expr, ...], Fraction]:
@@ -682,14 +694,19 @@ def mul(*eargs: Expr) -> Expr:
         return ZERO
 
     factors: list[Expr] = []
+    regroup = False
     for base, exp in powers.items():
         merged = pow_(base, exp)
         if isinstance(merged, Num):
             coeff *= merged.value
         elif isinstance(merged, (Add, Mul)):
-            sums.append(_coerce(merged))
+            sums.append(merged)
         else:
             factors.append(merged)
+            # ((a^2)^(1/2))^2 is a^2, whose base a may meet another factor a
+            regroup |= (merged.base if isinstance(merged, Pow) else merged) is not base
+    if regroup:
+        return mul(Num(coeff), *factors, *sums)
     if coeff == 0:
         return ZERO
     factors.sort(key=_factor_key)
@@ -734,9 +751,9 @@ def _nth_root(n: int, q: int) -> int | None:
 
 def _rational_power(value: Fraction, exp: Fraction) -> Fraction | None:
     """value**exp as an exact Fraction, or None if irrational/undefined."""
+    if value == 0 and exp < 0:
+        raise DomainEvalError("0 raised to a negative power")
     if exp.denominator == 1:
-        if value == 0 and exp < 0:
-            raise DomainEvalError("0 raised to a negative power")
         return value ** int(exp)
     v = value ** exp.numerator
     q = exp.denominator
@@ -755,7 +772,7 @@ def _rational_power(value: Fraction, exp: Fraction) -> Fraction | None:
 def pow_(base: Expr, exp: Rat | Fraction) -> Expr:
     """Canonical rational power."""
     base = _coerce(base)
-    exp = rational(exp) if not isinstance(exp, Fraction) else exp
+    exp = rational(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -780,7 +797,7 @@ def pow_(base: Expr, exp: Rat | Fraction) -> Expr:
         if base.coeff > 0 and base.coeff != 1:
             root = _rational_power(base.coeff, exp)
             if root is not None:
-                return mul(Num(root), pow_(Mul(Fraction(1), base.factors), exp))
+                return mul(Num(root), pow_(_from_term(Fraction(1), base.factors), exp))
         return Pow(base, exp)
     if isinstance(base, Add):
         if exp.denominator == 1 and 2 <= exp <= _POW_EXPAND_LIMIT:

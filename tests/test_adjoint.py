@@ -10,7 +10,7 @@ import pytest
 from viscosym.adjoint import (AdjointSeriesError, _exp_series, adjoint_matrices,
                               adjoint_matrix, adjoint_table, apply_adjoint,
                               audit_adjoint_table, equivalent, normalize)
-from viscosym.expr import (Num, ZERO, ONE, add, diff_atom, func, mul, pow_, sub,
+from viscosym.expr import (ExprError, Num, ZERO, ONE, add, diff_atom, func, mul, pow_, sub,
                            substitute)
 from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_rat
 from viscosym.spaces import s
@@ -249,6 +249,12 @@ class TestNormalize:
     def test_zero_vector_rejected(self, matrices):
         with pytest.raises(Exception, match="zero"):
             normalize((0, 0, 0, 0, 0), matrices)
+
+    @pytest.mark.parametrize("v", [(0, 0, 1, 1e-310, 0),     # 1/a4 overflows: c1 inf, c2 nan
+                                   (0, 1e-200, 0, 0, 1e200)])  # a5/a2 overflows
+    def test_non_finite_result_is_an_overflow(self, matrices, v):
+        with pytest.raises(ExprError, match="numeric overflow"):
+            normalize(v, matrices)
 
     def test_idempotent(self, matrices):
         rng = np.random.default_rng(3)

@@ -241,6 +241,10 @@ class TestInputValidation:
         ["verify", "--generator", '{"xi1": ["x"]}'],
         ["optimal", "--coeffs", "inf,1,0,0,0"],
         ["optimal", "--coeffs", "1,nan,0,0,0"],
+        # a non-finite normalized vector, and a nonzero entry that underflows
+        ["optimal", "--coeffs", "0,0,1,1e-310,0"],
+        ["optimal", "--coeffs", "0,1e-200,0,0,1e200"],
+        ["optimal", "--coeffs", "0,0,1,1e-400,0"],
         ["verify", "--generator", "X4", "--param-a", "inf"],
         ["verify", "--generator", "X4", "--param-b", "nan"],
         ["reduce", "--generator", "X1", "--param-a=-inf"],
@@ -276,6 +280,15 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: numeric overflow: a value exceeds the double range\n"
+
+    def test_coefficient_underflow_is_rejected_but_zero_is_not(self, capsys):
+        assert run(["optimal", "--coeffs", "0,0,1,1e-400,0"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --coeffs entry '1e-400' is not zero but underflows to 0.0\n"
+        assert run(["optimal", "--coeffs", "0,0,1,0,0"]) == 0
+        plain = capsys.readouterr()
+        assert run(["optimal", "--coeffs", "0,0,1,-0e-400,0.0"]) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("var, flag, value", [("VISCOSYM_SEED", "--seed", "abc"),
                                                   ("VISCOSYM_FORMAT", "--format", "xml")])
