@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add,
-                   eval_numeric, func, mul, pow_, sub, substitute)
+                   eval_batch, func, mul, pow_, sub, substitute)
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
                      mat_mul_expr, mat_mul_rat, mat_is_zero)
 from .spaces import s as S_PARAM
@@ -67,7 +67,9 @@ class AdjointMatrix:
         """Evaluate the matrix numerically at s = value."""
         if not math.isfinite(value):
             raise ExprError("adjoint parameter must be finite")
-        return [[eval_numeric(e, {S_PARAM: value}) for e in row] for row in self.entries]
+        dim = len(self.labels)
+        values = eval_batch([e for row in self.entries for e in row], {S_PARAM: [value]})
+        return [[v[0] for v in values[i:i + dim]] for i in range(0, len(values), dim)]
 
     def column_text(self, r: int) -> str:
         """Ad(exp(s X_t)) X_r as a combination of the basis (1-indexed r)."""

@@ -5,7 +5,8 @@ Every capability is exposed as a subcommand with machine-readable output
 check, 1 when an audit finds mismatches against the published tables (the
 expected outcome for the adjoint-table and reduced-equation audits) or a
 verification fails, 2 on usage errors (including expression parse errors,
-which carry a byte offset).
+which carry a byte offset), 3 on an internal error (an unexpected exception,
+reported as one line).
 
 Identical inputs and seed produce byte-identical output; the random seed
 and output format can also be set through the environment variables
@@ -33,6 +34,7 @@ __all__ = ["main", "run"]
 
 USAGE_ERROR = 2
 AUDIT_MISMATCH = 1
+INTERNAL_ERROR = 3
 PUBLISHED_DETERMINING_COUNT = 227
 _GENERATOR_KEYS = ("xi1", "xi2", "xi3", "phi1", "phi2")
 
@@ -405,6 +407,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:   # a defect, not bad input: never exit 1 with a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -26,6 +26,10 @@ a tree through the canonical constructors with a per-node replacement hook
 (substitution, canonicalization and chart rewrites are all hooks),
 ``term_map`` gives a sum's monomials with their rational coefficients, and
 ``bind_jets`` composes an equation with concrete dependents and their jets.
+Numeric evaluation has one walker, ``eval_batch``: it computes each
+distinct node below a list of roots once per block of sample points, in
+IEEE doubles with the ``math`` functions; ``eval_numeric`` is its one-point
+case.
 
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): building a node returns the one live node with the
@@ -42,6 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 import weakref
 from _weakref import _remove_dead_weakref
@@ -61,7 +66,7 @@ __all__ = [
     "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
     "substitute_functions", "bind_jets",
-    "eval_numeric", "equals", "max_abs_sample", "reduce_quotients",
+    "eval_batch", "eval_numeric", "equals", "max_abs_sample", "reduce_quotients",
 ]
 
 Rat = Union[int, Fraction]
@@ -1097,56 +1102,209 @@ def bind_jets(e: Expr, bodies: Mapping[Sym, Expr]) -> Expr:
 _MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
             "arctan": math.atan, "atan2": math.atan2}
 
+# points per block of eval_batch: bounds the per-node value lists it holds
+_EVAL_BLOCK = 4096
+
+_NAN = float("nan")
+_OVERFLOW = "numeric overflow: a value exceeds the double range"
+
+
+def _operands(node: Expr) -> tuple[Expr, ...]:
+    """What the walker evaluates before a node; an opaque application fails
+    before its arguments, so it has none."""
+    if isinstance(node, Add):
+        return node.terms
+    if isinstance(node, Mul):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Func):
+        return node.args
+    if isinstance(node, Expr):
+        return ()
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def _eval_order(roots: Sequence[Expr]) -> list[Expr]:
+    """The distinct nodes below the roots, each after its operands."""
+    order: list[Expr] = []
+    seen: set[Expr] = set()
+
+    def visit(node: Expr) -> None:
+        seen.add(node)
+        for operand in _operands(node):
+            if operand not in seen:
+                visit(operand)
+        order.append(node)
+
+    for root in roots:
+        if root not in seen:
+            visit(root)
+    return order
+
+
+def _as_eval_error(exc: Exception) -> EvalError:
+    # float overflow, and ValueError from fsum or a math function at inf
+    if isinstance(exc, EvalError):
+        return exc.with_traceback(None)
+    return EvalError(_OVERFLOW)
+
+
+def _leaf(node: Expr, columns: Mapping[Expr, list[float]], size: int) -> list[float]:
+    if isinstance(node, Num):
+        return [float(node.value)] * size
+    if isinstance(node, Unknown):
+        raise UnassignedSymbolError(f"no value for the opaque function {node.fn.name}")
+    try:
+        return columns[node]
+    except KeyError:
+        raise UnassignedSymbolError(f"no value assigned to {to_text(node)}") from None
+
+
+def _power(exp: Fraction) -> Callable[[float], float]:
+    """The walker's ``base ** exp`` at one point."""
+    negative, rational = exp < 0, exp.denominator != 1
+
+    def power(base: float) -> float:
+        if base == 0 and negative:
+            raise DomainEvalError("division by zero")
+        if base < 0 and rational:
+            raise DomainEvalError(f"negative base {base!r} under rational power {exp}")
+        return base ** float(exp) if rational else base ** int(exp)
+
+    return power
+
+
+def _apply(op: Callable[..., float],
+           columns: Sequence[list]) -> tuple[list[float], dict[int, EvalError]]:
+    """op at every point; a point where it raises fails with that error."""
+    try:
+        return list(map(op, *columns)), {}
+    except (EvalError, OverflowError, ValueError):
+        pass
+    values, failed = [], {}
+    for point, args in enumerate(zip(*columns)):
+        try:
+            values.append(op(*args))
+        except (EvalError, OverflowError, ValueError) as exc:
+            values.append(_NAN)
+            failed[point] = _as_eval_error(exc)
+    return values, failed
+
+
+def _eval_block(order: list[Expr], columns: Mapping[Expr, list[float]],
+                size: int) -> tuple[dict, dict]:
+    """Values of every node at ``size`` points, and per node the points
+    where it fails, each with the error the per-point walk raises there."""
+    vals: dict[Expr, list[float]] = {}
+    failures: dict[Expr, dict[int, EvalError]] = {}
+    for node in order:
+        operands = _operands(node)
+        try:
+            if not operands:
+                values, failed = _leaf(node, columns, size), {}
+            elif isinstance(node, Mul):
+                # the coefficient times each factor in order
+                values, failed = [float(node.coeff)] * size, {}
+                for factor in operands:
+                    values = list(map(operator.mul, values, vals[factor]))
+            elif isinstance(node, Add):
+                rows = list(zip(*[vals[term] for term in operands]))
+                values, failed = _apply(math.fsum, [rows])
+            else:
+                op = _MATH_FN[node.fn] if isinstance(node, Func) else _power(node.exp)
+                values, failed = _apply(op, [vals[arg] for arg in operands])
+        except (EvalError, OverflowError) as exc:   # fails before any operand
+            values = [_NAN] * size
+            failed = dict.fromkeys(range(size), _as_eval_error(exc))
+        else:
+            # a failing operand stops the walk at the first one, in order
+            inherited: dict[int, tuple[int, EvalError]] = {}
+            for k, operand in enumerate(operands):
+                for point, exc in failures.get(operand, {}).items():
+                    inherited.setdefault(point, (k, exc))
+            for point, (k, exc) in inherited.items():
+                if isinstance(node, Add):
+                    # unless fsum's partial sums overflow before term k
+                    try:
+                        math.fsum(rows[point][:k])
+                    except OverflowError:
+                        exc = EvalError(_OVERFLOW)
+                    except ValueError:   # inf - inf fails only at the end
+                        pass
+                failed[point] = exc
+        vals[node] = values
+        if failed:
+            failures[node] = failed
+    return vals, failures
+
+
+def _evaluate(roots: list[Expr], columns: list[tuple[Expr, Sequence[float]]],
+              npoints: int) -> tuple[list[list[float]], dict[int, EvalError]]:
+    """Values of each root at npoints points, block by block, and the first
+    error, roots in order, at each failing point (whose values are nan)."""
+    order = _eval_order(roots)
+    out: list[list[float]] = [[] for _ in roots]
+    failed: dict[int, EvalError] = {}
+    for start in range(0, npoints, _EVAL_BLOCK):
+        size = min(_EVAL_BLOCK, npoints - start)
+        block = {atom: list(map(float, column[start:start + size])) for atom, column in columns}
+        vals, failures = _eval_block(order, block, size)
+        for root in dict.fromkeys(roots):
+            # a non-finite value of a root fails with the overflow error
+            if not all(map(math.isfinite, vals[root])):
+                root_failed = failures.setdefault(root, {})
+                for point, value in enumerate(vals[root]):
+                    if not math.isfinite(value):
+                        root_failed.setdefault(point, EvalError(_OVERFLOW))
+        for root, values in zip(roots, out):
+            values += vals[root]
+            for point, exc in failures.get(root, {}).items():
+                failed.setdefault(start + point, exc)
+    if failed:
+        for values in out:
+            for point in failed:
+                values[point] = _NAN
+    return out, failed
+
+
+def eval_batch(roots: Sequence[Expr], columns: Mapping[Expr, Sequence[float]], *,
+               errors: dict[int, EvalError] | None = None) -> list[list[float]]:
+    """IEEE-double values of each root at many points: ``columns`` maps each
+    Sym/Jet atom to its values, one per point (with no columns there is one
+    point).  Returns one list of values per root.
+
+    Values and failures are those of ``eval_numeric`` on every root at every
+    point in turn, but each distinct node of the expression DAG is computed
+    once per block of points: a product as its coefficient times each
+    factor in order, a sum as one ``math.fsum`` per point.  A point fails
+    with the first error that walk meets, roots in order, and the earliest
+    failing point raises it.  If ``errors`` is given, failing points map to
+    their errors there instead, and their values are nan.
+    """
+    roots = list(roots)
+    items = list(columns.items())
+    for atom, _ in items:
+        if not isinstance(atom, (Sym, Jet)):
+            raise ExprError(f"bad assignment key {atom!r}")
+    npoints = len(items[0][1]) if items else 1
+    if any(len(column) != npoints for _, column in items):
+        raise ExprError("every column needs one value per point")
+    out, failed = _evaluate(roots, items, npoints)
+    if errors is not None:
+        errors.update(failed)
+    elif failed:
+        raise failed[min(failed)]
+    return out
+
 
 def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
-    """IEEE-double evaluation.  ``assignment`` maps Sym/Jet atoms to numbers;
-    an opaque-function application has no value and raises
-    UnassignedSymbolError.  A result, intermediate or constant beyond the
-    double range, or a non-finite result, raises EvalError (not
-    DomainEvalError, which samplers skip)."""
-    values: dict[Expr, float] = {}
-    for k, v in assignment.items():
-        if not isinstance(k, (Sym, Jet)):
-            raise ExprError(f"bad assignment key {k!r}")
-        values[k] = float(v)
-
-    def ev(node: Expr) -> float:
-        if isinstance(node, Num):
-            return float(node.value)
-        if isinstance(node, (Sym, Jet)):
-            try:
-                return values[node]
-            except KeyError:
-                raise UnassignedSymbolError(f"no value assigned to {to_text(node)}") from None
-        if isinstance(node, Func):
-            args = [ev(a) for a in node.args]
-            return _MATH_FN[node.fn](*args)
-        if isinstance(node, Unknown):
-            raise UnassignedSymbolError(f"no value for the opaque function {node.fn.name}")
-        if isinstance(node, Pow):
-            base = ev(node.base)
-            exp = node.exp
-            if base == 0 and exp < 0:
-                raise DomainEvalError("division by zero")
-            if base < 0 and exp.denominator != 1:
-                raise DomainEvalError(f"negative base {base!r} under rational power {exp}")
-            return base ** float(exp) if exp.denominator != 1 else base ** int(exp)
-        if isinstance(node, Mul):
-            out = float(node.coeff)
-            for fac in node.factors:
-                out *= ev(fac)
-            return out
-        if isinstance(node, Add):
-            return math.fsum(ev(t) for t in node.terms)
-        raise TypeError(f"not an Expr: {node!r}")
-
-    try:
-        value = ev(e)
-        if math.isfinite(value):
-            return value
-    except (OverflowError, ValueError):   # fsum and sin/cos raise ValueError on inf
-        pass
-    raise EvalError("numeric overflow: a value exceeds the double range")
+    """IEEE-double evaluation, the one-point case of ``eval_batch``.
+    ``assignment`` maps Sym/Jet atoms to numbers; an opaque-function
+    application has no value and raises UnassignedSymbolError.  A result,
+    intermediate or constant beyond the double range, or a non-finite
+    result, raises EvalError (not DomainEvalError, which samplers skip)."""
+    return eval_batch([e], {atom: (value,) for atom, value in assignment.items()})[0][0]
 
 
 def _random_polynomial(rng, slots: tuple[Sym, ...]) -> Expr:
@@ -1171,17 +1329,25 @@ def max_abs_sample(e: Expr, *, seed: int = 42, points: int = 20,
         e = substitute_functions(e, {fn: _random_polynomial(rng, fn.slots) for fn in fns})
     syms = sorted((at for at in atoms(e) if isinstance(at, (Sym, Jet))), key=_key)
     worst = 0.0
-    good = 0
-    for _ in range(8 * points):
-        assignment = {sm: rng.uniform(lo, hi) for sm in syms}
-        try:
-            val = eval_numeric(e, assignment)
-        except DomainEvalError:
-            continue
-        worst = max(worst, abs(val))
-        good += 1
-        if good >= points:
-            return worst
+    good = drawn = 0
+    while good < points and drawn < 8 * points:
+        # draw only the points still needed: a domain error costs one more
+        size = min(points - good, 8 * points - drawn)
+        columns: dict[Expr, list[float]] = {sm: [] for sm in syms}
+        for _ in range(size):
+            for sm in syms:
+                columns[sm].append(rng.uniform(lo, hi))
+        drawn += size
+        (values,), failed = _evaluate([e], list(columns.items()), size)
+        for point, val in enumerate(values):
+            if isinstance(failed.get(point), DomainEvalError):
+                continue
+            if point in failed:
+                raise failed[point]
+            worst = max(worst, abs(val))
+            good += 1
+    if good >= points:
+        return worst
     raise EvalError("could not find enough valid sample points")
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, diff_atom,
-                   eval_numeric, func, mul, rebuild, sub, substitute, to_text)
+                   eval_batch, func, mul, rebuild, sub, substitute, to_text)
 from .spaces import eps as EPS
 from .spaces import t, x, y
 from .vector_fields import Generator
@@ -59,8 +59,8 @@ class FlowMap:
         return (self.x_eps, self.y_eps, self.t_eps)
 
     def at(self, seed: Sequence[float], eps_value: float) -> tuple[float, float, float]:
-        assignment = {x: seed[0], y: seed[1], t: seed[2], EPS: eps_value}
-        return tuple(eval_numeric(comp, assignment) for comp in self.components)
+        columns = {x: [seed[0]], y: [seed[1]], t: [seed[2]], EPS: [eps_value]}
+        return tuple(values[0] for values in eval_batch(self.components, columns))
 
     def compose(self, other: "FlowMap", second_param: Expr) -> tuple[Expr, Expr, Expr]:
         """Components of self_eps after other_{second_param}: a simultaneous
@@ -147,14 +147,17 @@ def sample_flow(fm: FlowMap, seeds: Sequence[Sequence[float]],
         raise ExprError(f"eps sampling takes at most {MAX_EPS_SAMPLES} values, got {n}")
     if not (lo < hi):
         raise ExprError("eps range needs lo < hi")
-    out = []
-    for seed_id, seed in enumerate(seeds):
-        for k in range(n):
-            eps_value = lo + (hi - lo) * k / (n - 1)
-            px, py, pt = fm.at(seed, eps_value)
-            out.append(FlowSample(seed_id, eps_value, px, py,
-                                  None if project_xy else pt))
-    return out
+    eps_values = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    # one batch over every (seed, eps) point, seed by seed
+    columns = {x: [], y: [], t: [], EPS: eps_values * len(seeds)}
+    for seed in seeds:
+        for k, coord in enumerate((x, y, t)):
+            columns[coord] += [seed[k]] * n
+    xs, ys, ts = eval_batch(fm.components, columns)
+    if project_xy:
+        ts = [None] * len(ts)
+    return [FlowSample(k // n, eps_value, px, py, pt)
+            for k, (eps_value, px, py, pt) in enumerate(zip(columns[EPS], xs, ys, ts))]
 
 
 def samples_to_csv(samples: Iterable[FlowSample]) -> str:

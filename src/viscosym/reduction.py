@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import (Add, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
+from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
                    UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
-                   eval_numeric, func, mul, pow_, rebuild, reduce_quotients,
+                   eval_batch, func, mul, pow_, rebuild, reduce_quotients,
                    sub, substitute_functions, to_text, unknown)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
@@ -85,19 +85,22 @@ class SimilarityChart:
         object.__setattr__(self, "f_subst", unknown(G_FN, (), (self.xi, self.eta)))
 
     def _check_rank(self, seed: int = 7, points: int = 5):
-        rows = [[diff_atom(inv, v) for v in (x, y, t)] for inv in (self.xi, self.eta)]
+        entries = [diff_atom(inv, v) for inv in (self.xi, self.eta) for v in (x, y, t)]
         rng = np.random.default_rng(seed)
-        for _ in range(points):
-            # positive box: keeps clear of the rotation-chart axis and branch cut
-            px, py, pt = rng.uniform(0.5, 2.0, size=3)
-            jac = np.array([[eval_numeric(e, {x: px, y: py, t: pt}) for e in row]
-                            for row in rows])
+        # positive box: keeps clear of the rotation-chart axis and branch cut
+        samples = [rng.uniform(0.5, 2.0, size=3).tolist() for _ in range(points)]
+        failed: dict[int, EvalError] = {}
+        values = eval_batch(entries, dict(zip((x, y, t), zip(*samples))), errors=failed)
+        for k in range(points):
+            if k in failed:
+                raise failed[k]
+            jac = np.array([column[k] for column in values]).reshape(2, 3)
             if np.linalg.svd(jac, compute_uv=False)[1] <= 1e-9:
                 raise ExprError("the invariant map does not have rank 2")
 
     def point(self, px: float, py: float, pt: float) -> tuple[float, float]:
-        assignment = {x: px, y: py, t: pt}
-        return (eval_numeric(self.xi, assignment), eval_numeric(self.eta, assignment))
+        xi, eta = eval_batch((self.xi, self.eta), {x: [px], y: [py], t: [pt]})
+        return xi[0], eta[0]
 
 
 def _constant_of(e: Expr) -> Fraction | None:
@@ -316,13 +319,21 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
 
         reduced_expr = bind_jets(candidate, {H_DEP: hbody, G_DEP: gbody})
 
-        for _ in range(n_points):
-            px, py, pt = rng.uniform(0.6, 2.0, size=3)
-            pa, pb = rng.uniform(0.5, 2.0, size=2)
-            lhs = eval_numeric(original, {x: px, y: py, t: pt, A_SYM: pa, B_SYM: pb})
-            cxi, ceta = chart.point(px, py, pt)
-            rhs = eval_numeric(reduced_expr, {XI: cxi, ETA: ceta, A_SYM: pa, B_SYM: pb})
-            worst = max(worst, abs(lhs - rhs))
+        points = [(rng.uniform(0.6, 2.0, size=3).tolist(),
+                   rng.uniform(0.5, 2.0, size=2).tolist()) for _ in range(n_points)]
+        base_columns = dict(zip((x, y, t), zip(*(xyz for xyz, _ in points))))
+        params = dict(zip((A_SYM, B_SYM), zip(*(ab for _, ab in points))))
+        # per point the original side, then the chart, then the candidate
+        # side; the earliest point with a failure raises the first of them
+        failed: list[dict[int, EvalError]] = [{}, {}, {}]
+        (lhs,) = eval_batch([original], base_columns | params, errors=failed[0])
+        cxi, ceta = eval_batch([chart.xi, chart.eta], base_columns, errors=failed[1])
+        (rhs,) = eval_batch([reduced_expr], {XI: cxi, ETA: ceta} | params, errors=failed[2])
+        for k in range(n_points):
+            for stage in failed:
+                if k in stage:
+                    raise stage[k]
+            worst = max(worst, abs(lhs[k] - rhs[k]))
     return ReductionReport(worst, seed, n_functions, n_points, tol, worst < tol)
 
 

@@ -246,6 +246,12 @@ class StructureConstants:
                                     + self.c[k][i][m] * self.c[m][j][l])
                         if acc != 0:
                             raise ExprError("structure constants violate the Jacobi identity")
+        # the tensor is a cache key: hash its n^3 Fractions once, not per
+        # lookup (equal tensors have equal c, so this agrees with ==)
+        object.__setattr__(self, "_hash", hash(self.c))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -271,7 +277,13 @@ def commutator_table(basis: Sequence[Generator] | None = None) -> StructureConst
     tensor is shared between callers and immutable.  Raises NotClosedError
     naming the offending pair when some bracket leaves the basis span.
     """
-    return _commutator_table(tuple(basis) if basis is not None else standard_basis())
+    return _commutator_table(tuple(basis) if basis is not None else _standard_basis())
+
+
+@functools.cache
+def _standard_basis() -> tuple[Generator, ...]:
+    # the default cache key, built once rather than on every call
+    return standard_basis()
 
 
 @functools.lru_cache(maxsize=8)

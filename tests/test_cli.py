@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from viscosym import cli
 from viscosym.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -218,6 +219,25 @@ class TestErrorsAndDeterminism:
             assert captured.err.startswith("error: nesting deeper than")
             assert "(at byte 100)" in captured.err
 
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "table", broken)
+        code = run(["table"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, monkeypatch, exc):
+        def stopped(args, config):
+            raise exc()
+
+        monkeypatch.setitem(cli._COMMANDS, "table", stopped)
+        with pytest.raises(exc):
+            run(["table"])
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "viscosym.cli", "optimal", "--coeffs", "0,0,7,0,2"],
@@ -277,6 +297,15 @@ class TestInputValidation:
     ])
     def test_overflow_names_the_double_range(self, capsys, generator):
         code = run(["verify", "--generator", generator])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: numeric overflow: a value exceeds the double range\n"
+
+    def test_flow_overflow_names_the_double_range(self, capsys, tmp_path):
+        # finite eps bounds whose flow leaves the double range at the first point
+        (tmp_path / "good.json").write_text(self.SEEDS["good.json"])
+        code = run(["flow", "--generator", "X4 + X3", "--seeds", str(tmp_path / "good.json"),
+                    "--eps=-1e308:1e308:3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: numeric overflow: a value exceeds the double range\n"
