@@ -95,19 +95,19 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
                 for j in range(n):
                     if power[i][j] != 0:
                         out[i][j] = add(out[i][j],
-                                        mul(Num(power[i][j] / factorial), coeff))
+                                        mul(Num(Fraction(power[i][j], factorial)), coeff))
         return expr_matrix(out)
     a2 = powers[1] if n > 1 else mat_mul_rat(a, a)
     a3 = powers[2] if n > 2 else mat_mul_rat(a2, a)
-    lam = next((a3[i][j] / a[i][j] for i in range(n) for j in range(n)
+    lam = next((Fraction(a3[i][j], a[i][j]) for i in range(n) for j in range(n)
                 if a[i][j] != 0), None)
     if lam is not None and lam < 0 and a3 == [[v * lam for v in row] for row in a]:
         omega = pow_(Num(-lam), Fraction(1, 2))
         if isinstance(omega, Num):
             # exp(pA) = I + sin(w p)/w A + (1 - cos(w p))/w^2 A^2
-            sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
+            sin_c = mul(func("sin", mul(omega, param)), Num(Fraction(1, omega.value)))
             cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
-                        Num(1 / omega.value ** 2))
+                        Num(Fraction(1, omega.value ** 2)))
             return tuple(
                 tuple(add(Num(Fraction(int(i == j))), mul(sin_c, Num(a[i][j])),
                           mul(cos_c, Num(a2[i][j])))

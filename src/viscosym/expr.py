@@ -110,11 +110,15 @@ class Kind(Enum):
 _KIND_RANK = {Kind.PARAMETER: 0, Kind.INDEPENDENT: 1, Kind.DEPENDENT: 2}
 
 
-def rational(value: Rat) -> Fraction:
-    if isinstance(value, Fraction):
+def rational(value: Rat) -> Rat:
+    """The kernel's form of a rational number: an int when it is integral,
+    otherwise a Fraction (denominator > 1)."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -210,7 +214,7 @@ _node = dataclass(frozen=True, slots=True, eq=False, init=False)
 
 @_node
 class Num(Expr):
-    value: Fraction
+    value: Rat
 
     def __new__(cls, value: Rat):
         return Expr.__new__(cls, rational(value))
@@ -331,7 +335,10 @@ class Pow(Expr):
     """base**exp with a literal rational exponent, exp not in {0, 1}."""
 
     base: Expr
-    exp: Fraction
+    exp: Rat
+
+    def __new__(cls, base: Expr, exp: Rat):
+        return Expr.__new__(cls, base, rational(exp))
 
     def _sort_key(self):
         return (5, self.base._order, self.exp)
@@ -341,8 +348,11 @@ class Pow(Expr):
 class Mul(Expr):
     """coeff * f1 * f2 * ...; factors sorted, bases pairwise distinct."""
 
-    coeff: Fraction
+    coeff: Rat
     factors: tuple[Expr, ...]
+
+    def __new__(cls, coeff: Rat, factors: tuple[Expr, ...]):
+        return Expr.__new__(cls, rational(coeff), factors)
 
     def _sort_key(self):
         return (6, tuple(map(_key, self.factors)), self.coeff)
@@ -358,31 +368,31 @@ class Add(Expr):
         return (7, tuple(map(_key, self.terms)))
 
 
-ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
+ZERO = Num(0)
+ONE = Num(1)
 
 
 def _factor_key(factor: Expr):
     # sort x and x^2 adjacently: key on (base, exponent)
     if isinstance(factor, Pow):
         return (factor.base._order, factor.exp)
-    return (factor._order, Fraction(1))
+    return (factor._order, 1)
 
 
 # ---------------------------------------------------------------------------
 # Term/factor decomposition helpers
 # ---------------------------------------------------------------------------
 
-def _as_term(e: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+def _as_term(e: Expr) -> tuple[Rat, tuple[Expr, ...]]:
     """Split a canonical non-Add expression into (coefficient, factor tuple)."""
     if isinstance(e, Num):
         return e.value, ()
     if isinstance(e, Mul):
         return e.coeff, e.factors
-    return Fraction(1), (e,)
+    return 1, (e,)
 
 
-def _from_term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
+def _from_term(coeff: Rat, factors: tuple[Expr, ...]) -> Expr:
     if coeff == 0:
         return ZERO
     if not factors:
@@ -396,10 +406,10 @@ def _terms(e: Expr) -> tuple[Expr, ...]:
     return e.terms if isinstance(e, Add) else (e,)
 
 
-def _base_exp(factor: Expr) -> tuple[Expr, Fraction]:
+def _base_exp(factor: Expr) -> tuple[Expr, Rat]:
     if isinstance(factor, Pow):
         return factor.base, factor.exp
-    return factor, Fraction(1)
+    return factor, 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +418,14 @@ def _base_exp(factor: Expr) -> tuple[Expr, Fraction]:
 
 def add(*eargs: Expr) -> Expr:
     """Canonical sum of already-canonical expressions."""
-    acc: dict[tuple[Expr, ...], Fraction] = {}
+    acc: dict[tuple[Expr, ...], Rat] = {}
     for e in eargs:
         _merge_into(acc, _coerce(e))
     _pythagorean_reduce(acc)
     return _rebuild_add(acc)
 
 
-def _rebuild_add(acc: dict[tuple[Expr, ...], Fraction]) -> Expr:
+def _rebuild_add(acc: dict[tuple[Expr, ...], Rat]) -> Expr:
     terms = [_from_term(c, f) for f, c in acc.items()]
     terms.sort(key=_key)
     if not terms:
@@ -479,12 +489,12 @@ def _with_square(factors: tuple[Expr, ...], fn: str, angle: Expr) -> tuple[Expr,
             out[i] = Pow(square, exp + 2)
             break
     else:
-        out.append(Pow(square, Fraction(2)))
+        out.append(Pow(square, 2))
     out.sort(key=_factor_key)
     return tuple(out)
 
 
-def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> None:
+def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Rat]) -> None:
     """Rewrite c1*M*sin(w)^2 + c2*M*cos(w)^2 -> c2*M + (c1-c2)*M*sin(w)^2.
 
     Applied to the merged term map until no sin^2/cos^2 partner pair is left;
@@ -514,7 +524,7 @@ def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> None:
         for mono, c in ((stripped, c2), (factors, c1 - c2)):
             if c == 0:
                 continue
-            merged = acc.get(mono, Fraction(0)) + c
+            merged = acc.get(mono, 0) + c
             if merged == 0:
                 acc.pop(mono, None)
             else:
@@ -531,26 +541,26 @@ def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> None:
                 heapq.heappush(heap, (tuple(map(_factor_key, mono)), next(tiebreak), mono))
 
 
-def term_map(e: Expr) -> dict[tuple[Expr, ...], Fraction]:
+def term_map(e: Expr) -> dict[tuple[Expr, ...], Rat]:
     """Map the factor tuple of each monomial of e to its rational coefficient."""
-    acc: dict[tuple[Expr, ...], Fraction] = {}
+    acc: dict[tuple[Expr, ...], Rat] = {}
     _merge_into(acc, _coerce(e))
     return acc
 
 
-def _merge_into(acc: dict[tuple[Expr, ...], Fraction], term: Expr) -> None:
+def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr) -> None:
     for part in _terms(term):
         coeff, factors = _as_term(part)
         if coeff == 0:
             continue
-        newc = acc.get(factors, Fraction(0)) + coeff
+        newc = acc.get(factors, 0) + coeff
         if newc == 0:
             acc.pop(factors, None)
         else:
             acc[factors] = newc
 
 
-def _quotient_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> bool:
+def _quotient_reduce(acc: dict[tuple[Expr, ...], Rat]) -> bool:
     """Cancel sum-denominators: terms sharing a factor S^(-k) with S a sum
     have their joint numerator divided by S, so e.g.
     x^2*(x^2+y^2)^-1 + y^2*(x^2+y^2)^-1 collapses to 1."""
@@ -576,17 +586,17 @@ def _quotient_reduce(acc: dict[tuple[Expr, ...], Fraction]) -> bool:
             acc.pop(mono, None)
         reduced_exp = exp + 1
         for coeff, factors in quotient:
-            _merge_into(acc, mul(Num(coeff), _from_term(Fraction(1), factors) if factors else ONE,
+            _merge_into(acc, mul(Num(coeff), _from_term(1, factors) if factors else ONE,
                                  pow_(base, reduced_exp)))
         for coeff, factors in remainder:
-            _merge_into(acc, mul(Num(coeff), _from_term(Fraction(1), factors) if factors else ONE,
+            _merge_into(acc, mul(Num(coeff), _from_term(1, factors) if factors else ONE,
                                  den_factor))
         return True
     return False
 
 
-def _poly_divide(num: list[tuple[Fraction, tuple[Expr, ...]]],
-                 den: list[tuple[Fraction, tuple[Expr, ...]]]):
+def _poly_divide(num: list[tuple[Rat, tuple[Expr, ...]]],
+                 den: list[tuple[Rat, tuple[Expr, ...]]]):
     """Multivariate division with remainder over the factors seen as
     variables (graded-lex order); non-polynomial factors count as opaque
     variables.  Returns (quotient, remainder) as (coeff, factors) lists, or
@@ -616,22 +626,22 @@ def _poly_divide(num: list[tuple[Fraction, tuple[Expr, ...]]],
     def tup(counts: dict[int, int]) -> tuple[int, ...]:
         return tuple(counts.get(i, 0) for i in range(nvars))
 
-    big: dict[tuple[int, ...], Fraction] = {}
+    big: dict[tuple[int, ...], Rat] = {}
     for c, counts in nraw:
         key = tup(counts)
-        big[key] = big.get(key, Fraction(0)) + c
-    dpoly: dict[tuple[int, ...], Fraction] = {}
+        big[key] = big.get(key, 0) + c
+    dpoly: dict[tuple[int, ...], Rat] = {}
     for c, counts in draw:
         key = tup(counts)
-        dpoly[key] = dpoly.get(key, Fraction(0)) + c
+        dpoly[key] = dpoly.get(key, 0) + c
 
     def okey(vec: tuple[int, ...]):
         return (sum(vec), vec)
 
     dlead = max(dpoly, key=okey)
     dlc = dpoly[dlead]
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    quotient: dict[tuple[int, ...], Rat] = {}
+    remainder: dict[tuple[int, ...], Rat] = {}
     guard = 0
     while big:
         guard += 1
@@ -642,11 +652,11 @@ def _poly_divide(num: list[tuple[Fraction, tuple[Expr, ...]]],
         if any(dv < 0 for dv in diff):
             remainder[nlead] = big.pop(nlead)
             continue
-        qc = big[nlead] / dlc
-        quotient[diff] = quotient.get(diff, Fraction(0)) + qc
+        qc = Fraction(big[nlead], dlc)
+        quotient[diff] = quotient.get(diff, 0) + qc
         for dkey, dc in dpoly.items():
             tkey = tuple(dv + dk for dv, dk in zip(diff, dkey))
-            nc = big.get(tkey, Fraction(0)) - qc * dc
+            nc = big.get(tkey, 0) - qc * dc
             if nc == 0:
                 big.pop(tkey, None)
             else:
@@ -656,13 +666,13 @@ def _poly_divide(num: list[tuple[Fraction, tuple[Expr, ...]]],
     for v, i in varix.items():
         variables[i] = v
 
-    def rebuild(poly: dict[tuple[int, ...], Fraction]):
+    def rebuild(poly: dict[tuple[int, ...], Rat]):
         out = []
         for vec, c in poly.items():
             factors = []
             for i, e in enumerate(vec):
                 if e:
-                    fac = pow_(variables[i], Fraction(e))
+                    fac = pow_(variables[i], e)
                     out_coeff, fs = _as_term(fac)
                     c = c * out_coeff
                     factors.extend(fs)
@@ -675,8 +685,8 @@ def _poly_divide(num: list[tuple[Fraction, tuple[Expr, ...]]],
 
 def mul(*eargs: Expr) -> Expr:
     """Canonical product; products of sums are fully distributed."""
-    coeff = Fraction(1)
-    powers: dict[Expr, Fraction] = {}
+    coeff = 1
+    powers: dict[Expr, Rat] = {}
     sums: list[Expr] = []
 
     def feed(e: Expr):
@@ -691,7 +701,7 @@ def mul(*eargs: Expr) -> Expr:
             sums.append(e)
         else:
             base, exp = _base_exp(e)
-            powers[base] = powers.get(base, Fraction(0)) + exp
+            powers[base] = powers.get(base, 0) + exp
 
     for e in eargs:
         feed(_coerce(e))
@@ -731,12 +741,12 @@ def _distribute(e1: Expr, e2: Expr) -> Expr:
     return add(*parts)
 
 
-def _mul_terms(coeff: Fraction, f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> Expr:
+def _mul_terms(coeff: Rat, f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> Expr:
     if not f1:
         return _from_term(coeff, f2)
     if not f2:
         return _from_term(coeff, f1)
-    return mul(Num(coeff), _from_term(Fraction(1), f1), _from_term(Fraction(1), f2))
+    return mul(Num(coeff), _from_term(1, f1), _from_term(1, f2))
 
 
 def _nth_root(n: int, q: int) -> int | None:
@@ -754,10 +764,12 @@ def _nth_root(n: int, q: int) -> int | None:
     return r if r ** q == n else None
 
 
-def _rational_power(value: Fraction, exp: Fraction) -> Fraction | None:
-    """value**exp as an exact Fraction, or None if irrational/undefined."""
-    if value == 0 and exp < 0:
-        raise DomainEvalError("0 raised to a negative power")
+def _rational_power(value: Rat, exp: Rat) -> Rat | None:
+    """value**exp as an exact rational, or None if irrational/undefined."""
+    if exp < 0:
+        if value == 0:
+            raise DomainEvalError("0 raised to a negative power")
+        value, exp = 1 / Fraction(value), -exp     # int ** -k is a float
     if exp.denominator == 1:
         return value ** int(exp)
     v = value ** exp.numerator
@@ -774,7 +786,7 @@ def _rational_power(value: Fraction, exp: Fraction) -> Fraction | None:
     return Fraction(sign * num, den)
 
 
-def pow_(base: Expr, exp: Rat | Fraction) -> Expr:
+def pow_(base: Expr, exp: Rat) -> Expr:
     """Canonical rational power."""
     base = _coerce(base)
     exp = rational(exp)
@@ -802,7 +814,7 @@ def pow_(base: Expr, exp: Rat | Fraction) -> Expr:
         if base.coeff > 0 and base.coeff != 1:
             root = _rational_power(base.coeff, exp)
             if root is not None:
-                return mul(Num(root), pow_(_from_term(Fraction(1), base.factors), exp))
+                return mul(Num(root), pow_(_from_term(1, base.factors), exp))
         return Pow(base, exp)
     if isinstance(base, Add):
         if exp.denominator == 1 and 2 <= exp <= _POW_EXPAND_LIMIT:
@@ -834,15 +846,15 @@ def func(fn: str, *args: Expr) -> Expr:
     if fn not in ELEMENTARY_FUNCTIONS:
         raise ExprError(f"unknown elementary function {fn!r}")
     if fn in ("sin", "cos", "arctan") and _leading_sign(cargs[0]) < 0:
-        inner = func(fn, mul(Num(Fraction(-1)), cargs[0]))
-        return mul(Num(Fraction(-1)), inner) if fn != "cos" else inner
+        inner = func(fn, mul(Num(-1), cargs[0]))
+        return mul(Num(-1), inner) if fn != "cos" else inner
     if fn in ("sin", "cos") and isinstance(cargs[0], Add):
         head, tail = cargs[0].terms[0], add(*cargs[0].terms[1:])
         if fn == "sin":
             return add(mul(func("sin", head), func("cos", tail)),
                        mul(func("cos", head), func("sin", tail)))
         return add(mul(func("cos", head), func("cos", tail)),
-                   mul(Num(Fraction(-1)), func("sin", head), func("sin", tail)))
+                   mul(Num(-1), func("sin", head), func("sin", tail)))
     if cargs[0] == ZERO:
         if fn == "sin" or fn == "arctan":
             return ZERO
@@ -852,7 +864,7 @@ def func(fn: str, *args: Expr) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(Num(Fraction(-1)), e)
+    return mul(Num(-1), e)
 
 
 def sub(e1: Expr, e2: Expr) -> Expr:
@@ -860,7 +872,7 @@ def sub(e1: Expr, e2: Expr) -> Expr:
 
 
 def div(e1: Expr, e2: Expr) -> Expr:
-    return mul(e1, pow_(_coerce(e2), Fraction(-1)))
+    return mul(e1, pow_(_coerce(e2), -1))
 
 
 def canonicalize(e: Expr) -> Expr:
@@ -946,15 +958,15 @@ def _func_derivative(e: Func, dargs: list[Expr]) -> Expr:
     if e.fn == "sin":
         return mul(func("cos", a[0]), dargs[0])
     if e.fn == "cos":
-        return mul(Num(Fraction(-1)), func("sin", a[0]), dargs[0])
+        return mul(Num(-1), func("sin", a[0]), dargs[0])
     if e.fn == "exp":
         return mul(func("exp", a[0]), dargs[0])
     if e.fn == "arctan":
-        return mul(dargs[0], pow_(add(ONE, pow_(a[0], 2)), Fraction(-1)))
+        return mul(dargs[0], pow_(add(ONE, pow_(a[0], 2)), -1))
     if e.fn == "atan2":
         p, q = a
         num = sub(mul(q, dargs[0]), mul(p, dargs[1]))
-        return mul(num, pow_(add(pow_(p, 2), pow_(q, 2)), Fraction(-1)))
+        return mul(num, pow_(add(pow_(p, 2), pow_(q, 2)), -1))
     raise ExprError(f"no derivative rule for {e.fn}")
 
 
@@ -989,7 +1001,7 @@ def _derive(e: Expr, datom: Callable[[Expr], Expr]) -> Expr:
             if dfac == ZERO:
                 continue
             rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(Num(e.coeff), _from_term(Fraction(1), rest) if rest else ONE, dfac))
+            parts.append(mul(Num(e.coeff), _from_term(1, rest) if rest else ONE, dfac))
         return add(*parts) if parts else ZERO
     if isinstance(e, Add):
         return add(*[_derive(t, datom) for t in e.terms])
@@ -1161,7 +1173,7 @@ def _leaf(node: Expr, columns: Mapping[Expr, list[float]], size: int) -> list[fl
         raise UnassignedSymbolError(f"no value assigned to {to_text(node)}") from None
 
 
-def _power(exp: Fraction) -> Callable[[float], float]:
+def _power(exp: Rat) -> Callable[[float], float]:
     """The walker's ``base ** exp`` at one point."""
     negative, rational = exp < 0, exp.denominator != 1
 
@@ -1309,11 +1321,11 @@ def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
 
 def _random_polynomial(rng, slots: tuple[Sym, ...]) -> Expr:
     """Small random polynomial over the given slots (stand-in for unknowns)."""
-    parts: list[Expr] = [Num(Fraction(rng.randint(-3, 3)))]
+    parts: list[Expr] = [Num(rng.randint(-3, 3))]
     for s in slots:
-        parts.append(mul(Num(Fraction(rng.randint(-3, 3))), s))
-        parts.append(mul(Num(Fraction(rng.randint(-2, 2))), pow_(s, 2)))
-        parts.append(mul(Num(Fraction(rng.randint(-1, 1))), pow_(s, 3)))
+        parts.append(mul(Num(rng.randint(-3, 3)), s))
+        parts.append(mul(Num(rng.randint(-2, 2)), pow_(s, 2)))
+        parts.append(mul(Num(rng.randint(-1, 1)), pow_(s, 3)))
     return add(*parts)
 
 
@@ -1366,7 +1378,7 @@ def equals(e1: Expr, e2: Expr, *, seed: int = 42, points: int = 24,
 # Printing
 # ---------------------------------------------------------------------------
 
-def _exp_text(exp: Fraction) -> str:
+def _exp_text(exp: Rat) -> str:
     if exp.denominator == 1:
         return f"^{exp.numerator}"
     return f"^({exp.numerator}/{exp.denominator})"

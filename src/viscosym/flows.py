@@ -112,8 +112,8 @@ def flow_map(v: Generator) -> FlowMap:
 
     # dz/deps = w J z + b has the fixed point p = (b2/w, -b1/w); the flow is
     # p + R(w eps) (z - p) with R the clockwise rotation block.
-    px = const[1] / w
-    py = -const[0] / w
+    px = Fraction(const[1], w)
+    py = Fraction(-const[0], w)
     cos_we = func("cos", mul(Num(w), EPS))
     sin_we = func("sin", mul(Num(w), EPS))
     dx = sub(x, Num(px))

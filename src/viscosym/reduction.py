@@ -136,7 +136,7 @@ def characteristic_invariants(v: Generator) -> SimilarityChart:
         raise UnsupportedGeneratorError("coefficients outside the chart catalog")
     if c3 == 0:
         return SimilarityChart(v, _RADIAL, t, "rotation")
-    angular = add(func("atan2", y, x), mul(Num(c4 / c3), t))
+    angular = add(func("atan2", y, x), mul(Num(Fraction(c4, c3)), t))
     return SimilarityChart(v, _RADIAL, angular, "rotation")
 
 
@@ -162,7 +162,7 @@ def _invariant_linear_forms(ks: tuple[Fraction, Fraction, Fraction]) -> list[Exp
     for i in range(3):
         for j in range(i + 1, 3):
             if ks[i] != 0 and ks[j] != 0:
-                ratio = ks[i] / ks[j]
+                ratio = Fraction(ks[i], ks[j])
                 form = sub(coords[i], mul(Num(ratio), coords[j]))
                 vec = tuple(Fraction(1) if m == i else (-ratio if m == j else Fraction(0))
                             for m in range(3))

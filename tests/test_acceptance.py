@@ -121,7 +121,7 @@ def test_criterion_5_similarity_charts():
     def normal_form(e):
         lead = e.terms[0] if isinstance(e, Add) else e
         coeff = lead.coeff if isinstance(lead, Mul) else Fraction(1)
-        return to_text(mul(Num(1 / coeff), e))
+        return to_text(mul(Num(Fraction(1) / coeff), e))
 
     for label, pub_xi, pub_eta in red.published_similarity_rows():
         gen = vf.parse_basis_combination(label)

@@ -55,9 +55,9 @@ def _reference_exp_series(a, param):
         if a3 == scaled:
             omega = pow_(Num(-lam), Fraction(1, 2))
             if isinstance(omega, Num):
-                sin_c = mul(func("sin", mul(omega, param)), Num(1 / omega.value))
+                sin_c = mul(func("sin", mul(omega, param)), Num(Fraction(1) / omega.value))
                 cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
-                            Num(1 / omega.value ** 2))
+                            Num(Fraction(1) / omega.value ** 2))
                 return tuple(
                     tuple(add(Num(Fraction(int(i == j))), mul(sin_c, Num(a[i][j])),
                               mul(cos_c, Num(a2[i][j])))
