@@ -400,7 +400,10 @@ def run(argv: list[str] | None = None) -> int:
     env = [f"{flag}={os.environ[var]}" for var, flag in _ENV_DEFAULTS if var in os.environ]
     args = parser.parse_args(env + (sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = RunConfig(fmt=args.format, seed=args.seed, tol=_finite(args.tol, "--tol"),
+        tol = _finite(args.tol, "--tol")
+        if tol is not None and tol <= 0:    # a sampled check passes only when |value| < tol
+            raise ValueError(f"--tol must be greater than 0, got {tol!r}")
+        config = RunConfig(fmt=args.format, seed=args.seed, tol=tol,
                            param_a=_finite(args.param_a, "--param-a"),
                            param_b=_finite(args.param_b, "--param-b"))
         return _COMMANDS[args.command](args, config)

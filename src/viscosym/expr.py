@@ -31,6 +31,12 @@ distinct node below a list of roots once per block of sample points, in
 IEEE doubles with the ``math`` functions; ``eval_numeric`` is its one-point
 case.
 
+Kernel numbers (``Num`` values, ``Mul`` coefficients, ``Pow`` exponents)
+are ints when integral and Fractions otherwise (``rational``): the two hash,
+compare, sort and print alike, but int arithmetic and hashing run in C, and
+most numbers here are integers.  ``/`` between two ints gives a float, so
+divide kernel numbers with ``Fraction(p, q)``.
+
 Nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): building a node returns the one live node with the
 same class and fields, so equal trees are one object, ``==`` and ``hash``
@@ -111,14 +117,11 @@ _KIND_RANK = {Kind.PARAMETER: 0, Kind.INDEPENDENT: 1, Kind.DEPENDENT: 2}
 
 
 def rational(value: Rat) -> Rat:
-    """The kernel's form of a rational number: an int when it is integral,
-    otherwise a Fraction (denominator > 1)."""
-    if type(value) is int:
-        return value
+    """A kernel number: an int when integral, else a Fraction (denominator > 1)."""
+    if isinstance(value, int):
+        return value if type(value) is int else int(value)     # a bool is an int
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -766,13 +769,11 @@ def _nth_root(n: int, q: int) -> int | None:
 
 def _rational_power(value: Rat, exp: Rat) -> Rat | None:
     """value**exp as an exact rational, or None if irrational/undefined."""
-    if exp < 0:
-        if value == 0:
-            raise DomainEvalError("0 raised to a negative power")
-        value, exp = 1 / Fraction(value), -exp     # int ** -k is a float
-    if exp.denominator == 1:
-        return value ** int(exp)
-    v = value ** exp.numerator
+    if value == 0 and exp < 0:
+        raise DomainEvalError("0 raised to a negative power")
+    if exp.denominator == 1:    # an int to a negative power is a float
+        return value ** exp if exp > 0 else Fraction(value) ** exp
+    v = Fraction(value) ** exp.numerator
     q = exp.denominator
     sign = 1
     if v < 0:
@@ -1096,14 +1097,17 @@ def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
 def bind_jets(e: Expr, bodies: Mapping[Sym, Expr]) -> Expr:
     """Substitute each dependent symbol by its body and each of its jets u_J
     by the total derivative D_J of the body, taken in J's sorted index
-    order."""
+    order.  Jets that share an index prefix share its derivative."""
+    derived = {(dep, ()): body for dep, body in bodies.items()}  # by index prefix
     bindings: dict[Expr, Expr] = dict(bodies)
     for atom in atoms(e):
         if isinstance(atom, Jet) and atom.base in bodies:
-            out = bodies[atom.base]
-            for ix in atom.indices:
-                out = total_derivative(out, ix)
-            bindings[atom] = out
+            for k in range(1, atom.order + 1):
+                prefix = atom.indices[:k]
+                if (atom.base, prefix) not in derived:
+                    derived[atom.base, prefix] = total_derivative(
+                        derived[atom.base, prefix[:-1]], prefix[-1])
+            bindings[atom] = derived[atom.base, atom.indices]
     return substitute(e, bindings)
 
 

@@ -269,6 +269,10 @@ class TestInputValidation:
         ["verify", "--generator", "X4", "--param-b", "nan"],
         ["reduce", "--generator", "X1", "--param-a=-inf"],
         ["verify", "--generator", "X4", "--tol", "nan"],
+        # a sampled check compares |value| < tol, so tol <= 0 never passes
+        ["--tol=-1", "verify-reduction", "--generator=X1+X3"],
+        ["--tol=-1", "verify", "--generator", '{"xi1": "t"}'],
+        ["verify", "--generator", "X4", "--tol", "0"],
         ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "0:inf:3"],
         ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "nan:1:3"],
         ["flow", "--generator", "X1", "--seeds", "good.json", "--eps", "0:1:3",

@@ -224,6 +224,25 @@ class TestBindJets:
                         == reference_bind_reduced(candidate, hbody, gbody))
 
 
+def test_bind_jets_shares_index_prefixes(monkeypatch, pde):
+    # u_xx, u_yy, u_tt, u_xxt and u_yyt need D along the prefixes x, xx,
+    # xxt, y, yy, yyt, t and tt: 8 derivatives, not one chain of 12
+    import viscosym.expr as E
+    directions = []
+
+    def counting(e, v, real=E.total_derivative):
+        directions.append(v.name)
+        return real(e, v)
+
+    monkeypatch.setattr(E, "total_derivative", counting)
+    body = BASE.parse("x^2*y*t + sin(x - t)*y^3")
+    composed = pde.compose(body, ZERO)
+    assert len(directions) == 8
+    assert sorted(directions) == ["t"] * 4 + ["x"] * 2 + ["y"] * 2
+    monkeypatch.undo()
+    assert composed == reference_compose(pde, body, ZERO)
+
+
 def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points):
     """verify_reduction as it was before the monomial images: both random
     polynomials are composed with the chart and run through the chain rule
