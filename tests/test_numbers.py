@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscosym.adjoint import _exp_series
-from viscosym.expr import (Add, Func, Jet, Mul, Num, Pow, Sym, Unknown, ZERO, ONE,
+from viscosym.expr import (Add, Func, Jet, Kind, Mul, Num, Pow, Sym, Unknown, ZERO, ONE,
                            canonicalize, diff_atom, func, mul, pow_, rational,
                            reduce_quotients, substitute, total_derivative)
 from viscosym.flows import flow_map
@@ -73,8 +73,11 @@ class TestNormalization:
         assert Num(Fraction(1)) is ONE
         assert Mul(Fraction(3, 1), (x,)) is mul(Num(3), x)
         assert Pow(x, Fraction(2)) is pow_(x, 2)
-        assert type(Mul(Fraction(3, 1), (x,)).coeff) is int
-        assert type(Pow(x, Fraction(2)).exp) is int
+        # a symbol no other tree holds, so each raw node below is new
+        w = Sym("w_numbers", Kind.PARAMETER, 91)
+        assert type(Num(Fraction(-10 ** 30, 1)).value) is int
+        assert type(Mul(Fraction(5, 1), (w,)).coeff) is int
+        assert type(Pow(w, Fraction(7, 1)).exp) is int
 
     def test_floats_are_rejected(self):
         for build in (lambda: Num(2.0), lambda: pow_(x, 2.0), lambda: Mul(1.5, (x,))):

@@ -226,7 +226,8 @@ class TestBindJets:
 
 def test_bind_jets_shares_index_prefixes(monkeypatch, pde):
     # u_xx, u_yy, u_tt, u_xxt and u_yyt need D along the prefixes x, xx,
-    # xxt, y, yy, yyt, t and tt: 8 derivatives, not one chain of 12
+    # xxt, y, yy, yyt, t and tt: 8 derivatives, where deriving each jet
+    # from the body takes 12
     import viscosym.expr as E
     directions = []
 
