@@ -85,6 +85,14 @@ def _coefficient(text: str) -> float:
     return value
 
 
+def _pde(config: RunConfig) -> vf.PDEInstance:
+    """The equation with a and b bound to their --param-a/--param-b values."""
+    params = {sym: Num(Fraction(value).limit_denominator(10 ** 9))
+              for sym, value in ((A_SYM, config.param_a), (B_SYM, config.param_b))
+              if value is not None}
+    return vf.PDEInstance(substitute(vf.viscoelastic_pde().residual, params))
+
+
 def _parse_generator(spec: str) -> vf.Generator:
     spec = spec.strip()
     if spec.startswith("{"):
@@ -97,13 +105,6 @@ def _parse_generator(spec: str) -> vf.Generator:
         return vf.Generator(*[sp.parse(fields.get(name, "0")) for name in _GENERATOR_KEYS],
                             label=None)
     return vf.parse_basis_combination(spec)
-
-
-def _with_params(expr, config: RunConfig):
-    bindings = {sym: Num(Fraction(value).limit_denominator(10 ** 9))
-                for sym, value in ((A_SYM, config.param_a), (B_SYM, config.param_b))
-                if value is not None}
-    return substitute(expr, bindings) if bindings else expr
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +156,12 @@ def _cmd_adjoint_matrix(args, config: RunConfig) -> int:
 def _cmd_verify(args, config: RunConfig) -> int:
     gen = _parse_generator(args.generator)
     tol = config.tol if config.tol is not None else 1e-9
-    report = vf.verify_symmetry(gen, seed=config.seed, tol=tol)
+    report = vf.verify_symmetry(gen, _pde(config), seed=config.seed, tol=tol)
     payload = {
         "generator": args.generator,
         "ok": report.ok,
         "symbolic_zero": report.symbolic_zero,
-        "residual": to_text(_with_params(report.residual, config)),
+        "residual": to_text(report.residual),
         "numeric_max": report.numeric_max,
         "tol": tol,
     }
@@ -169,9 +170,10 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_determining(args, config: RunConfig) -> int:
-    system = vf.determining_equations()
+    pde = _pde(config)
+    system = vf.determining_equations(pde)
     _, fns = vf.general_ansatz()
-    bodies = vf.symmetry_family_bodies(fns)
+    bodies = vf.symmetry_family_bodies(fns, pde=pde)
     solution_ok = all(substitute_functions(eq, bodies) == ZERO
                       for _, eq in system.records)
     payload = {
@@ -220,7 +222,7 @@ def _published_row_index(label: str) -> int | None:
 
 
 def _cmd_reduce(args, config: RunConfig) -> int:
-    pde = vf.viscoelastic_pde()
+    pde = _pde(config)
     gen = _parse_generator(args.generator)
     chart = reduction.characteristic_invariants(gen)
     reduced = reduction.reduce_pde(pde, chart)
@@ -232,7 +234,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
         "eta": to_text(chart.eta),
         "u": "h(xi, eta)",
         "f": "g(xi, eta)",
-        "reduced_residual": to_text(_with_params(reduced.residual, config)),
+        "reduced_residual": to_text(reduced.residual),
         "table4_row": None,
         "diff_terms": [],
         "verify": {"max_discrepancy": report.max_discrepancy, "seed": report.seed},
@@ -251,7 +253,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_reduction(args, config: RunConfig) -> int:
-    pde = vf.viscoelastic_pde()
+    pde = _pde(config)
     gen = _parse_generator(args.generator)
     chart = reduction.characteristic_invariants(gen)
     reduced = reduction.reduce_pde(pde, chart)

@@ -16,10 +16,22 @@ removed.  Supported nodes:
   respect to argument slots (``Unknown`` applied via ``UnknownFn``),
 * rational powers (``Pow``), products (``Mul``) and sums (``Add``).
 
-The trig simplification set is deliberately small: sin^2+cos^2 -> 1,
-sin(0) -> 0, cos(0) -> 1, parity normalisation of sin/cos/arctan and
-angle addition for syntactic sums.  That is enough to make rotation
-flows and their group law close symbolically.
+The trig simplification set is deliberately small: sin(0) -> 0,
+cos(0) -> 1, parity normalisation of sin/cos/arctan, angle addition for
+syntactic sums, and reduction modulo the Groebner basis sin(w)^2 +
+cos(w)^2 - 1 of each angle w (Cox, Little & O'Shea, *Ideals, Varieties,
+and Algorithms*, ch. 2).  It is local per monomial, so ``add`` does no trig
+work.  (a) ``pow_`` writes cos(w)^n, integer n >= 2, as cos(w)^(n mod 2) *
+(1 - sin(w)^2)^(n div 2); (b) ``mul`` rewrites sin(w)^a, integer a >= 2,
+beside a negative power of cos(w) with sin(w)^2 = 1 - cos(w)^2, a div 2
+times; (c) ``pow_`` folds a sum that is one monomial times powers of cos(w)
+back before raising it to a negative integer power, so 1/cos(x)^3 is
+cos(x)^-3.  (a) and (b) stop where n div 2 or a div 2 exceeds
+``_POW_EXPAND_LIMIT``, as powers of sums do.  The form is canonical for
+every angle in which an expression is polynomial in sin(w) and cos(w), or
+Laurent in exactly one of them; it is not when both carry negative powers
+(sin(x)^-2*cos(x)^-2 and sin(x)^-2 + cos(x)^-2 stay two nodes).  That is
+enough to make rotation flows and their group law close symbolically.
 
 Three helpers serve every module that takes trees apart: ``rebuild`` walks
 a tree through the canonical constructors with a per-node replacement hook
@@ -49,8 +61,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import operator
 import random
@@ -424,7 +434,6 @@ def add(*eargs: Expr) -> Expr:
     acc: dict[tuple[Expr, ...], Rat] = {}
     for e in eargs:
         _merge_into(acc, _coerce(e))
-    _pythagorean_reduce(acc)
     return _rebuild_add(acc)
 
 
@@ -450,98 +459,9 @@ def reduce_quotients(e: Expr) -> Expr:
     if not isinstance(e, Add):
         return e
     acc = term_map(e)
-    changed = True
-    while changed:
-        changed = _quotient_reduce(acc)
-        if changed:
-            _pythagorean_reduce(acc)
+    while _quotient_reduce(acc):
+        pass
     return _rebuild_add(acc)
-
-
-def _split_sin_sq(factors: tuple[Expr, ...]) -> Iterator[tuple[int, Expr]]:
-    """Yield (position, angle) for each factor sin(angle)^n with integer n >= 2."""
-    for i, fac in enumerate(factors):
-        base, exp = _base_exp(fac)
-        if (isinstance(base, Func) and base.fn == "sin"
-                and exp.denominator == 1 and exp >= 2):
-            yield i, base.args[0]
-
-
-def _adjust_factor(factors: tuple[Expr, ...], pos: int, delta: int) -> tuple[Expr, ...]:
-    """Add delta to the exponent of factors[pos], dropping it at exponent 0."""
-    base, exp = _base_exp(factors[pos])
-    newexp = exp + delta
-    out = list(factors)
-    if newexp == 0:
-        del out[pos]
-    elif newexp == 1:
-        out[pos] = base
-    else:
-        out[pos] = Pow(base, newexp)
-    out.sort(key=_factor_key)
-    return tuple(out)
-
-
-def _with_square(factors: tuple[Expr, ...], fn: str, angle: Expr) -> tuple[Expr, ...]:
-    """Multiply a monomial by fn(angle)^2."""
-    square = Func(fn, (angle,))
-    out = list(factors)
-    for i, fac in enumerate(out):
-        base, exp = _base_exp(fac)
-        if base == square:
-            out[i] = Pow(square, exp + 2)
-            break
-    else:
-        out.append(Pow(square, 2))
-    out.sort(key=_factor_key)
-    return tuple(out)
-
-
-def _pythagorean_reduce(acc: dict[tuple[Expr, ...], Rat]) -> None:
-    """Rewrite c1*M*sin(w)^2 + c2*M*cos(w)^2 -> c2*M + (c1-c2)*M*sin(w)^2.
-
-    Applied to the merged term map until no sin^2/cos^2 partner pair is left;
-    each rewrite lowers the total trigonometric degree, so this terminates.
-    The rewrite is not confluent, so the order is fixed: each step takes the
-    least monomial in sort order that has a partner, at its first sin^2
-    factor that has one.  A heap holds every monomial that may have one;
-    after a rewrite only the monomials that may have gained one go back.
-    """
-    tiebreak = itertools.count()
-    heap = [(tuple(map(_factor_key, factors)), next(tiebreak), factors)
-            for factors in acc if any(_split_sin_sq(factors))]
-    heapq.heapify(heap)
-    while heap:
-        factors = heapq.heappop(heap)[2]
-        if factors not in acc:
-            continue
-        for pos, angle in _split_sin_sq(factors):
-            stripped = _adjust_factor(factors, pos, -2)
-            partner = _with_square(stripped, "cos", angle)
-            if partner in acc:
-                break
-        else:
-            continue
-        c1 = acc.pop(factors)
-        c2 = acc.pop(partner)
-        for mono, c in ((stripped, c2), (factors, c1 - c2)):
-            if c == 0:
-                continue
-            merged = acc.get(mono, 0) + c
-            if merged == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = merged
-        # back on the heap: the two changed monomials, and each one whose
-        # partner is the stripped one (one of its cos(w)^2 traded for sin(w)^2)
-        gained = [factors, stripped]
-        for i, fac in enumerate(stripped):
-            base, _ = _base_exp(fac)
-            if isinstance(base, Func) and base.fn == "cos":
-                gained.append(_with_square(_adjust_factor(stripped, i, -2), "sin", base.args[0]))
-        for mono in gained:
-            if mono in acc:
-                heapq.heappush(heap, (tuple(map(_factor_key, mono)), next(tiebreak), mono))
 
 
 def term_map(e: Expr) -> dict[tuple[Expr, ...], Rat]:
@@ -710,6 +630,14 @@ def mul(*eargs: Expr) -> Expr:
         feed(_coerce(e))
     if coeff == 0:
         return ZERO
+    for base, exp in powers.items():
+        if (type(base) is Func and base.fn == "sin" and type(exp) is int
+                and 2 <= exp and exp // 2 <= _POW_EXPAND_LIMIT
+                and powers.get(cos := Func("cos", base.args), 0) < 0):
+            # rule (b): sin(w)^a beside a negative power of cos(w)
+            rest = mul(Num(coeff), *sums, pow_(base, exp % 2),
+                       *[pow_(b, e) for b, e in powers.items() if b is not base and b is not cos])
+            return _pythagorean(rest, cos, powers[cos], exp // 2)
 
     factors: list[Expr] = []
     regroup = False
@@ -823,8 +751,57 @@ def pow_(base: Expr, exp: Rat) -> Expr:
             for _ in range(int(exp) - 1):
                 out = _distribute(out, base)
             return out
+        if type(exp) is int and exp < 0:
+            folded = _fold_cos_powers(base, exp)
+            if folded is not None:
+                return folded
         return Pow(base, exp)
+    if (type(base) is Func and base.fn == "cos" and type(exp) is int
+            and 2 <= exp and exp // 2 <= _POW_EXPAND_LIMIT):
+        # rule (a): cos(w)^n = cos(w)^(n mod 2) * (1 - sin(w)^2)^(n div 2)
+        return _pythagorean(pow_(base, exp % 2), Func("sin", base.args), 0, exp // 2)
     return Pow(base, exp)
+
+
+def _pythagorean(rest: Expr, trig: Func, exp: int, n: int) -> Expr:
+    """rest * trig^exp * (1 - trig^2)^n, expanded in powers of trig."""
+    return add(*[mul(Num((-1) ** j * math.comb(n, j)), rest, pow_(trig, exp + 2 * j))
+                 for j in range(n + 1)])
+
+
+def _trig_exponents(e: Expr) -> list[dict[Func, int]]:
+    """Per term of e, the integer exponent of each sin or cos factor."""
+    return [{base: exp for base, exp in map(_base_exp, _as_term(term)[1])
+             if type(base) is Func and base.fn in ("sin", "cos") and type(exp) is int}
+            for term in _terms(e)]
+
+
+def _least(exps: list[dict[Func, int]], fn: str) -> dict[Func, int]:
+    """The least exponent of each fn factor over the terms (0 where absent)."""
+    return {f: min(term.get(f, 0) for term in exps) for term in exps for f in term if f.fn == fn}
+
+
+def _fold_cos_powers(s: Add, k: int) -> Expr | None:
+    """Rule (c): s^k for a sum s that is one monomial times integer powers of
+    cos(w), else None.  Negative powers of cos(w) (rule b) come out first;
+    the rest must be lead * cos(w)^(2m) (rule a), with lead the term of least
+    sin(w) degree and 2m the spread of those degrees."""
+    exps = _trig_exponents(s)
+    if not any(exps):
+        return None
+    powers = {cos: n for cos, n in _least(exps, "cos").items() if n < 0}
+    p = mul(s, *[pow_(cos, -n) for cos, n in powers.items()])
+    exps = _trig_exponents(p)
+    low = _least(exps, "sin")
+    lead = [t for t, term in zip(_terms(p), exps)
+            if all(term.get(sin, 0) == n for sin, n in low.items())]
+    squares = {Func("cos", sin.args): max(term.get(sin, 0) for term in exps) - n
+               for sin, n in low.items()}
+    if len(lead) != 1 or mul(lead[0], *[pow_(c, n) for c, n in squares.items()]) is not p:
+        return None
+    for cos, n in squares.items():
+        powers[cos] = powers.get(cos, 0) + n
+    return mul(pow_(lead[0], k), *[pow_(cos, n * k) for cos, n in powers.items()])
 
 
 def _leading_sign(e: Expr) -> int:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
                    UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
-                   eval_batch, func, mul, pow_, rebuild, reduce_quotients,
-                   sub, substitute_functions, to_text, unknown)
+                   eval_batch, func, mul, neg, pow_, rebuild, reduce_quotients,
+                   sub, substitute, substitute_functions, to_text, unknown)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
@@ -386,9 +386,13 @@ class ReductionAuditRow:
 def audit_reduction_table(pde: PDEInstance | None = None) -> list[ReductionAuditRow]:
     """Compare the tool's chain-rule reductions against the published rows,
     term by term, in the published chart orientation (so differences are
-    real discrepancies, not coordinate relabelings)."""
+    real discrepancies, not coordinate relabelings).  The rows' a and b are
+    bound to pde's coefficients of -u_xxt and -u_xx, so a pde with numeric
+    a and b is compared with the rows at the same values."""
     if pde is None:
         pde = viscoelastic_pde()
+    params = {A_SYM: neg(diff_atom(pde.residual, Jet(u, (x, x, t)))),
+              B_SYM: neg(diff_atom(pde.residual, Jet(u, (x, x))))}
     rows = published_reduction_rows()
     charts = published_similarity_rows()
     out = []
@@ -397,6 +401,7 @@ def audit_reduction_table(pde: PDEInstance | None = None) -> list[ReductionAudit
         chart = SimilarityChart(parse_basis_combination(label),
                                 chart_xi, chart_eta, "linear")
         derived = reduce_pde(pde, chart).residual
+        published = substitute(published, params)
         delta = sub(derived, published)
         terms = delta.terms if isinstance(delta, Add) else ((delta,) if delta != ZERO else ())
         out.append(ReductionAuditRow(

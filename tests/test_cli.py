@@ -84,6 +84,16 @@ class TestVerify:
                                  "--generator", "X1 + 2*X3 - X5")
         assert code == 0 and payload["ok"]
 
+    def test_parameters_are_bound_in_the_check(self, capsys):
+        # with b = 0 the equation admits the dilation; a check that kept b
+        # symbolic printed residual 0 next to ok false
+        code, payload = run_json(
+            capsys, "verify", "verify", "--param-b", "0", "--generator",
+            '{"xi1":"x","xi2":"y","xi3":"2*t","phi2":"-4*f"}')
+        assert code == 0
+        assert payload["ok"] and payload["symbolic_zero"]
+        assert payload["residual"] == "0"
+
 
 class TestOptimal:
     def test_published_example(self, capsys):

@@ -1,5 +1,5 @@
 """Hash-consed kernel: equal trees are one object, the intern table holds
-only live nodes, and the Pythagorean pass keeps its rewrite order."""
+only live nodes, and equal trig sums have one normal form."""
 
 import copy
 import gc
@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import viscosym.expr as E
-from viscosym.expr import (ONE, Jet, Kind, Num, Sym, add, canonicalize, func, mul,
-                           pow_, term_map)
+from viscosym.expr import (ONE, Add, Func, Jet, Kind, Num, Pow, Sym, add, canonicalize,
+                           func, mul, pow_)
 from viscosym.reduction import characteristic_invariants, reduce_pde, verify_reduction
 from viscosym.spaces import base_space, t, u, x, y
 from viscosym.vector_fields import parse_basis_combination, viscoelastic_pde
@@ -96,21 +96,39 @@ def test_intern_table_is_bounded_by_live_nodes():
 
 
 # ---------------------------------------------------------------------------
-# Pythagorean pass
+# Trig normal form
 # ---------------------------------------------------------------------------
 
+def _shift(factors, base, delta):
+    """A factor tuple with delta added to the exponent of base (the factor is
+    added when absent, dropped at exponent 0 and bare at exponent 1)."""
+    exps = dict(E._base_exp(fac) for fac in factors)
+    exp = exps.get(base, 0) + delta
+    exps.pop(base, None)
+    if exp:
+        exps[base] = exp
+    return tuple(sorted((b if e == 1 else Pow(b, e) for b, e in exps.items()),
+                        key=E._factor_key))
+
+
 def _restart_scan(acc):
-    """The restart-after-each-rewrite loop the heap replaced, kept as the
-    reference for the rewrite order."""
+    """The Pythagorean rewrite c1*M*sin(w)^2 + c2*M*cos(w)^2 ->
+    c2*M + (c1 - c2)*M*sin(w)^2 on a term map, restarted after each step.
+    The kernel's pass before the normal form ran it in this order; here it
+    is the reference: it changes the terms, never the value."""
     changed = True
     while changed:
         changed = False
         for factors in sorted(acc.keys(), key=lambda fs: tuple(map(E._factor_key, fs))):
             if factors not in acc:
                 continue
-            for pos, angle in E._split_sin_sq(factors):
-                stripped = E._adjust_factor(factors, pos, -2)
-                partner = E._with_square(stripped, "cos", angle)
+            for fac in factors:
+                base, exp = E._base_exp(fac)
+                if not (isinstance(base, Func) and base.fn == "sin"
+                        and exp.denominator == 1 and exp >= 2):
+                    continue
+                stripped = _shift(factors, base, -2)
+                partner = _shift(stripped, Func("cos", base.args), 2)
                 if partner not in acc:
                     continue
                 c1 = acc.pop(factors)
@@ -118,7 +136,7 @@ def _restart_scan(acc):
                 for mono, c in ((stripped, c2), (factors, c1 - c2)):
                     if c == 0:
                         continue
-                    merged = acc.get(mono, Fraction(0)) + c
+                    merged = acc.get(mono, 0) + c
                     if merged == 0:
                         acc.pop(mono, None)
                     else:
@@ -129,18 +147,36 @@ def _restart_scan(acc):
                 break
 
 
-_SIN_X, _COS_X = func("sin", x), func("cos", x)
+_SIN_X, _COS_X = Func("sin", (x,)), Func("cos", (x,))
 _SIN_T, _COS_T = func("sin", mul(Num(2), t)), func("cos", mul(Num(2), t))
+def _with_partners(cells):
+    """Exponents (i, j, k, l) -> coefficient, each cell with i >= 2 drawn
+    with a partner (i - 2, j + 2, k, l) unless its partner coefficient is 0."""
+    grid = {}
+    for (i, j, k, l), (coeff, partner) in cells.items():
+        grid[i, j, k, l] = coeff
+        if partner and i >= 2:
+            grid.setdefault((i - 2, j + 2, k, l), partner)
+    return grid
+
+
 # sums of sin(x)^i*cos(x)^j*sin(2t)^k*cos(2t)^l over small dense grids, so
 # that partner pairs are common, rewrites chain (x only, up to degree 4) and
-# monomials with two partners make the order matter (both angles)
+# monomials with two partners make the order matter (both angles); cos
+# exponents go down to -2, where the normal form rewrites sin^2 instead
+_coefficient = st.integers(-3, 3).filter(bool)
 _grid_sum = st.one_of(*[
-    st.dictionaries(st.tuples(*exponents), st.integers(-3, 3).filter(bool),
-                    min_size=1, max_size=20)
-    for exponents in ((st.integers(0, 4), st.integers(0, 4), st.just(0), st.just(0)),
-                      (st.integers(0, 4), st.integers(0, 4), st.integers(0, 2),
-                       st.sampled_from((0, 2))),
-                      [st.integers(0, 2)] * 4)])
+    st.dictionaries(st.tuples(*exponents), st.tuples(_coefficient, st.integers(-3, 3)),
+                    min_size=1, max_size=20).map(_with_partners)
+    for exponents in ((st.integers(0, 4), st.integers(-2, 4), st.just(0), st.just(0)),
+                      (st.integers(0, 4), st.integers(-2, 4), st.integers(0, 2),
+                       st.sampled_from((-2, 0, 2))),
+                      [st.integers(0, 2), st.integers(-2, 2)] * 2)])
+
+
+def _raw_sum(acc):
+    """The term map as a raw, uncanonicalized sum."""
+    return Add(tuple(E._from_term(c, fs) for fs, c in acc.items()) + (Num(0),))
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,26 +185,39 @@ _grid_sum = st.one_of(*[
 @example({(0, 2, 0, 0): 1, (0, 4, 0, 0): 1, (2, 0, 0, 0): 1, (2, 2, 0, 0): 1})
 @example({(2, 2, 0, 0): 1, (0, 4, 2, 0): 1, (0, 4, 0, 2): 1})
 @example({(0, 0, 0, 0): 1, (0, 2, 2, 0): 1, (2, 0, 0, 2): 1, (2, 0, 2, 0): 1})
-def test_heap_matches_the_restart_scan(grid):
+@example({(2, -2, 0, 0): 1, (0, 0, 0, 0): 1})
+@example({(4, -1, 0, 0): 2, (2, 1, 0, 0): -1, (0, -2, 2, -2): 1})
+def test_normal_form_absorbs_the_pythagorean_rewrite(grid):
+    # the sum before and after the reference rewrite has one normal form
     acc = {}
     for (i, j, k, l), coeff in grid.items():
-        monomial = mul(Num(coeff), pow_(_SIN_X, i), pow_(_COS_X, j),
-                       pow_(_SIN_T, k), pow_(_COS_T, l))
-        acc.update(term_map(monomial))
-    expected = dict(acc)
-    _restart_scan(expected)
-    E._pythagorean_reduce(acc)
-    assert acc == expected
+        factors = ()
+        for base, exp in ((_SIN_X, i), (_COS_X, j), (_SIN_T, k), (_COS_T, l)):
+            factors = _shift(factors, base, exp)
+        acc[factors] = coeff
+    before = _raw_sum(acc)
+    _restart_scan(acc)
+    assert canonicalize(before) is canonicalize(_raw_sum(acc))
 
 
-def test_rewrite_order_picks_one_of_two_equal_forms(space):
-    # sin(x)^2 + cos(x)^2*sin(y)^2 = sin(y)^2 + cos(y)^2*sin(x)^2, yet the
-    # fixed order leaves both canonical
+def test_equal_trig_sums_are_one_node(space):
+    # sin(x)^2 + cos(x)^2*sin(y)^2 = sin(y)^2 + cos(y)^2*sin(x)^2: the
+    # normal form writes both as one polynomial in sin(x) and sin(y)
     lhs = space.parse("sin(y)^2 + cos(y)^2*sin(x)^2")
     rhs = space.parse("sin(x)^2 + cos(x)^2*sin(y)^2")
-    assert lhs is not rhs
-    assert str(lhs) == "sin(y)^2 + cos(y)^2*sin(x)^2"
-    assert str(rhs) == "sin(x)^2 + cos(x)^2*sin(y)^2"
+    assert lhs is rhs
+    assert str(lhs) == "sin(x)^2 + sin(y)^2 - sin(x)^2*sin(y)^2"
+    for left, right in (("sin(x)^2/cos(x)^2 + 1", "cos(x)^-2"),
+                        ("cos(x)^2/sin(x)^2 + 1", "sin(x)^-2"),
+                        ("(1 - sin(x)^2)^-1", "cos(x)^-2"),
+                        ("cos(x)^2*cos(x)^-2", "1"),
+                        ("cos(x)^3/cos(x)^3", "1"),
+                        ("1/cos(x)^3", "cos(x)^-3"),
+                        ("1/(x*cos(x)^2)", "x^-1*cos(x)^-2"),
+                        ("(sin(x)^2/cos(x))^-1", "cos(x)*sin(x)^-2")):
+        assert space.parse(left) is space.parse(right), left
+    assert str(space.parse("1/cos(x)^3")) == "cos(x)^-3"
+    assert str(space.parse("cos(x)^3")) == "cos(x) - cos(x)*sin(x)^2"
 
 
 def test_cube_of_a_wide_angle_sum_is_fast():

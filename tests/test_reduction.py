@@ -30,7 +30,7 @@ def normalized_form(e):
     """Scale a linear form so its first nonzero coefficient is +1."""
     lead = e.terms[0] if isinstance(e, Add) else e
     coeff = lead.coeff if isinstance(lead, Mul) else Fraction(1)
-    return mul(Num(1 / coeff), e)
+    return mul(Num(Fraction(1, coeff)), e)
 
 
 class TestCharts:
@@ -41,6 +41,8 @@ class TestCharts:
             got = {to_text(normalized_form(inv)) for inv in (chart.xi, chart.eta)}
             want = {to_text(normalized_form(inv)) for inv in (pub_xi, pub_eta)}
             assert got == want, label
+        # a form led by an integer coefficient other than 1
+        assert normalized_form(BASE.parse("2*x - t")) is BASE.parse("x - 1/2*t")
 
     def test_invariance_is_symbolic(self):
         cases = ["X1", "X2", "X3", "X1 + X3", "X2 + X3", "X4",

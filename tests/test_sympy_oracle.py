@@ -2,7 +2,8 @@
 
 Hypothesis draws small expression recipes over x, y, t and a: sums,
 differences, products, small integer powers, rational powers of polynomial
-subtrees, and sin/cos/exp of integer linear forms.  Each recipe is built
+subtrees, sin/cos/exp of integer linear forms, and sin/cos of such forms to
+the powers -1 and -2.  Each recipe is built
 twice, as a raw (uncanonicalized) kernel tree and as a sympy expression, and
 ``canonicalize``, ``diff_atom`` and ``substitute`` are checked against
 sympy's ``expand``/``expand_trig``, ``diff`` and ``subs``.
@@ -15,6 +16,7 @@ are halves (and -1): the kernel takes the real odd root of a negative
 constant, (-8)^(1/3) = -2, where sympy takes the principal complex one.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,7 +68,12 @@ _pythagorean_pair = st.builds(
     lambda w, p, q: ("add", ("mul", p, ("pow", ("fn", "sin", w), 2)),
                      ("mul", q, ("pow", ("fn", "cos", w), 2))),
     _linear, _leaf, _leaf)
-recipes = st.recursive(st.one_of(_leaf, _function, _rational_power, _pythagorean_pair),
+# sin(w)^-n and cos(w)^-n: the normal form's Laurent side
+_negative_trig = st.tuples(
+    st.just("pow"), st.tuples(st.just("fn"), st.sampled_from(("sin", "cos")), _linear),
+    st.sampled_from((-1, -2)))
+recipes = st.recursive(st.one_of(_leaf, _function, _rational_power, _pythagorean_pair,
+                                 _negative_trig),
                        _combine, max_leaves=8)
 
 
@@ -190,10 +197,18 @@ def is_zero(difference) -> bool:
 
 
 def small(e, limit=30):
-    """e, unless it has more than ``limit`` monomials: a rare draw such as a
-    cubed product of angle sums expands to hundreds, and sympy's side of the
-    check then takes seconds."""
-    if len(term_map(e)) > limit:
+    """e, unless it has more than ``limit`` monomials, counting a sum to the
+    power -k as its k-th power: a rare draw such as a cubed product of angle
+    sums, or cos(t + 4*x - 4*y)^-6, expands to hundreds, and sympy's side of
+    the check then takes seconds to minutes."""
+    size = 0
+    for factors in term_map(e):
+        monomials = 1
+        for factor in factors:
+            if isinstance(factor, Pow) and isinstance(factor.base, Add) and factor.exp < 0:
+                monomials *= len(factor.base.terms) ** -math.floor(factor.exp)
+        size += monomials
+    if size > limit:
         reject()
     return e
 
@@ -213,9 +228,15 @@ def canonical(recipe):
 @given(recipes)
 @example(("pow", ("mul", ("num", Fraction(4)), ("sym", x)), Fraction(1, 2)))
 @example(("pow", ("add", ("sym", a), ("pow", ("pow", ("sym", a), 2), Fraction(1, 2))), 3))
+@example(("mul", ("pow", ("fn", "sin", ("lin", ((2, x),))), 3),
+          ("pow", ("fn", "cos", ("lin", ((2, x),))), -2)))
+@example(("pow", ("add", ("num", Fraction(1)),
+                  ("mul", ("num", Fraction(-1)), ("pow", ("fn", "sin", ("lin", ((1, y),))), 2))),
+          -1))
 def test_canonicalize_matches_expand(recipe):
-    # the examples once canonicalized to non-canonical trees: sqrt(4*x) kept
-    # a Mul(1, (x,)) base, and (a + sqrt(a^2))^3 a product a*a^2
+    # the first two examples once canonicalized to non-canonical trees:
+    # sqrt(4*x) kept a Mul(1, (x,)) base, and (a + sqrt(a^2))^3 a product
+    # a*a^2; the last two take the rules for negative powers of cos
     e = canonical(recipe)
     assert canonicalize(e) is e
     assert is_zero(sympy_tree(recipe) - to_sympy(e))
@@ -244,6 +265,17 @@ def test_substitute_matches_subs(recipe, for_x, for_y):
     if expected.has(sympy.zoo, sympy.nan):
         reject()
     assert is_zero(expected - to_sympy(result))
+
+
+def test_both_negative_powers_stay_two_nodes():
+    # the open case: with sin(w) and cos(w) both under negative powers the
+    # normal form is not canonical, so equal trees can stay two nodes
+    lhs = canonical(("mul", ("pow", ("fn", "sin", ("lin", ((1, x),))), -2),
+                     ("pow", ("fn", "cos", ("lin", ((1, x),))), -2)))
+    rhs = canonical(("add", ("pow", ("fn", "sin", ("lin", ((1, x),))), -2),
+                     ("pow", ("fn", "cos", ("lin", ((1, x),))), -2)))
+    assert lhs is not rhs
+    assert is_zero(to_sympy(lhs) - to_sympy(rhs))
 
 
 def test_normal_form_separates_unequal_trees():
