@@ -9,9 +9,9 @@ and samples one-parameter flow trajectories.
 """
 
 from .expr import (Expr, ExprError, Jet, Kind, Num, Sym, UnknownFn,
-                   canonicalize, diff_atom, equals, eval_numeric,
-                   reduce_quotients, substitute, substitute_functions,
-                   to_text, total_derivative)
+                   canonicalize, diff_atom, equals, eval_numeric, numerator,
+                   substitute, substitute_functions, to_text,
+                   total_derivative)
 from .parsing import ParseError, UnknownIdentifierError, parse
 from .spaces import VarSpace, base_space, reduced_space
 from .vector_fields import (Generator, PDEInstance, StructureConstants,

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -44,8 +44,7 @@ class RunConfig:
     fmt: str = "json"
     seed: int = 42
     tol: float | None = None
-    param_a: float | None = None
-    param_b: float | None = None
+    params: dict = field(default_factory=dict)     # a, b -> their --param-* values
 
 
 def _emit(text: str) -> None:
@@ -85,15 +84,21 @@ def _coefficient(text: str) -> float:
     return value
 
 
+def _param(text: str, flag: str) -> Num:
+    """A --param-a/--param-b value as the shortest decimal that reads as the
+    same double: the decimal written, up to the 15 digits a double holds."""
+    value = _finite(float(text), flag)
+    if value == 0.0 and Decimal(text) != 0:
+        raise ValueError(f"{flag} {text.strip()!r} is not zero but underflows to 0.0")
+    return Num(Fraction(repr(value)))
+
+
 def _pde(config: RunConfig) -> vf.PDEInstance:
     """The equation with a and b bound to their --param-a/--param-b values."""
-    params = {sym: Num(Fraction(value).limit_denominator(10 ** 9))
-              for sym, value in ((A_SYM, config.param_a), (B_SYM, config.param_b))
-              if value is not None}
-    return vf.PDEInstance(substitute(vf.viscoelastic_pde().residual, params))
+    return vf.PDEInstance(substitute(vf.viscoelastic_pde().residual, config.params))
 
 
-def _parse_generator(spec: str) -> vf.Generator:
+def _parse_generator(spec: str, config: RunConfig) -> vf.Generator:
     spec = spec.strip()
     if spec.startswith("{"):
         fields = json.loads(spec)
@@ -102,8 +107,8 @@ def _parse_generator(spec: str) -> vf.Generator:
             raise ValueError("a JSON generator maps some of the keys "
                              f"{', '.join(_GENERATOR_KEYS)} to expression strings")
         sp = base_space()
-        return vf.Generator(*[sp.parse(fields.get(name, "0")) for name in _GENERATOR_KEYS],
-                            label=None)
+        return vf.Generator(*[substitute(sp.parse(fields.get(name, "0")), config.params)
+                              for name in _GENERATOR_KEYS], label=None)
     return vf.parse_basis_combination(spec)
 
 
@@ -154,7 +159,7 @@ def _cmd_adjoint_matrix(args, config: RunConfig) -> int:
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
-    gen = _parse_generator(args.generator)
+    gen = _parse_generator(args.generator, config)
     tol = config.tol if config.tol is not None else 1e-9
     report = vf.verify_symmetry(gen, _pde(config), seed=config.seed, tol=tol)
     payload = {
@@ -223,7 +228,7 @@ def _published_row_index(label: str) -> int | None:
 
 def _cmd_reduce(args, config: RunConfig) -> int:
     pde = _pde(config)
-    gen = _parse_generator(args.generator)
+    gen = _parse_generator(args.generator, config)
     chart = reduction.characteristic_invariants(gen)
     reduced = reduction.reduce_pde(pde, chart)
     report = reduction.verify_reduction(pde, chart, reduced, seed=config.seed)
@@ -254,7 +259,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
 
 def _cmd_verify_reduction(args, config: RunConfig) -> int:
     pde = _pde(config)
-    gen = _parse_generator(args.generator)
+    gen = _parse_generator(args.generator, config)
     chart = reduction.characteristic_invariants(gen)
     reduced = reduction.reduce_pde(pde, chart)
     tol = config.tol if config.tol is not None else 1e-7
@@ -299,7 +304,7 @@ def _read_seeds(path: str) -> list[tuple[float, float, float]]:
 
 
 def _cmd_flow(args, config: RunConfig) -> int:
-    gen = _parse_generator(args.generator)
+    gen = _parse_generator(args.generator, config)
     fm = flows.flow_map(gen)
     lo_s, hi_s, n_s = args.eps.split(":")
     seeds = _read_seeds(args.seeds)
@@ -337,9 +342,9 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=dflt(42))
     parser.add_argument("--tol", type=float, default=dflt(None),
                         help="tolerance override for verification commands")
-    parser.add_argument("--param-a", type=float, default=dflt(None),
+    parser.add_argument("--param-a", default=dflt(None),
                         help="numeric value for the coefficient a (default symbolic)")
-    parser.add_argument("--param-b", type=float, default=dflt(None),
+    parser.add_argument("--param-b", default=dflt(None),
                         help="numeric value for the coefficient b (default symbolic)")
 
 
@@ -405,9 +410,10 @@ def run(argv: list[str] | None = None) -> int:
         tol = _finite(args.tol, "--tol")
         if tol is not None and tol <= 0:    # a sampled check passes only when |value| < tol
             raise ValueError(f"--tol must be greater than 0, got {tol!r}")
-        config = RunConfig(fmt=args.format, seed=args.seed, tol=tol,
-                           param_a=_finite(args.param_a, "--param-a"),
-                           param_b=_finite(args.param_b, "--param-b"))
+        params = {sym: _param(text, flag) for sym, text, flag in
+                  ((A_SYM, args.param_a, "--param-a"), (B_SYM, args.param_b, "--param-b"))
+                  if text is not None}
+        config = RunConfig(fmt=args.format, seed=args.seed, tol=tol, params=params)
         return _COMMANDS[args.command](args, config)
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,10 @@ a tree through the canonical constructors with a per-node replacement hook
 (substitution, canonicalization and chart rewrites are all hooks),
 ``term_map`` gives a sum's monomials with their rational coefficients, and
 ``bind_jets`` composes an equation with concrete dependents and their jets.
+Canonical form never divides one sum by another, so
+x^2/(x^2 + y^2) + y^2/(x^2 + y^2) stays two terms; ``numerator`` clears the
+sums under negative powers, which turns a zero test of such a quotient
+into the zero test of a polynomial.
 Numeric evaluation has one walker, ``eval_batch``: it computes each
 distinct node below a list of roots once per block of sample points, in
 IEEE doubles with the ``math`` functions; ``eval_numeric`` is its one-point
@@ -82,7 +86,7 @@ __all__ = [
     "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
     "substitute_functions", "bind_jets",
-    "eval_batch", "eval_numeric", "equals", "max_abs_sample", "reduce_quotients",
+    "eval_batch", "eval_numeric", "equals", "max_abs_sample", "numerator",
 ]
 
 Rat = Union[int, Fraction]
@@ -434,10 +438,6 @@ def add(*eargs: Expr) -> Expr:
     acc: dict[tuple[Expr, ...], Rat] = {}
     for e in eargs:
         _merge_into(acc, _coerce(e))
-    return _rebuild_add(acc)
-
-
-def _rebuild_add(acc: dict[tuple[Expr, ...], Rat]) -> Expr:
     terms = [_from_term(c, f) for f, c in acc.items()]
     terms.sort(key=_key)
     if not terms:
@@ -445,23 +445,6 @@ def _rebuild_add(acc: dict[tuple[Expr, ...], Rat]) -> Expr:
     if len(terms) == 1:
         return terms[0]
     return Add(tuple(terms))
-
-
-def reduce_quotients(e: Expr) -> Expr:
-    """Cancel sum-denominators across the top-level terms of a sum, e.g.
-    x^2*(x^2+y^2)^-1 + y^2*(x^2+y^2)^-1 -> 1.
-
-    This is deliberately not part of plain canonicalization (products of
-    sums distribute through it constantly); callers checking identities of
-    rational functions apply it explicitly.
-    """
-    e = _coerce(e)
-    if not isinstance(e, Add):
-        return e
-    acc = term_map(e)
-    while _quotient_reduce(acc):
-        pass
-    return _rebuild_add(acc)
 
 
 def term_map(e: Expr) -> dict[tuple[Expr, ...], Rat]:
@@ -483,127 +466,20 @@ def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr) -> None:
             acc[factors] = newc
 
 
-def _quotient_reduce(acc: dict[tuple[Expr, ...], Rat]) -> bool:
-    """Cancel sum-denominators: terms sharing a factor S^(-k) with S a sum
-    have their joint numerator divided by S, so e.g.
-    x^2*(x^2+y^2)^-1 + y^2*(x^2+y^2)^-1 collapses to 1."""
-    groups: dict[Expr, list[tuple[Expr, ...]]] = {}
-    for factors in acc:
-        for fac in factors:
-            base, exp = _base_exp(fac)
-            if isinstance(base, Add) and exp.denominator == 1 and exp < 0:
-                groups.setdefault(fac, []).append(factors)
-    for den_factor in sorted(groups, key=_factor_key):
-        monos = groups[den_factor]
-        base, exp = _base_exp(den_factor)
-        numerator = [( [fc for fc in mono if fc != den_factor], acc[mono])
-                     for mono in monos if mono in acc]
-        if not numerator:
-            continue
-        divisor = [_as_term(term) for term in base.terms]
-        quotient, remainder = _poly_divide(
-            [(c, tuple(fs)) for fs, c in numerator], divisor)
-        if quotient is None or not quotient:
-            continue
-        for mono in monos:
-            acc.pop(mono, None)
-        reduced_exp = exp + 1
-        for coeff, factors in quotient:
-            _merge_into(acc, mul(Num(coeff), _from_term(1, factors) if factors else ONE,
-                                 pow_(base, reduced_exp)))
-        for coeff, factors in remainder:
-            _merge_into(acc, mul(Num(coeff), _from_term(1, factors) if factors else ONE,
-                                 den_factor))
-        return True
-    return False
-
-
-def _poly_divide(num: list[tuple[Rat, tuple[Expr, ...]]],
-                 den: list[tuple[Rat, tuple[Expr, ...]]]):
-    """Multivariate division with remainder over the factors seen as
-    variables (graded-lex order); non-polynomial factors count as opaque
-    variables.  Returns (quotient, remainder) as (coeff, factors) lists, or
-    (None, None) when the inputs are too large to bother."""
-    if len(num) > 400:
-        return None, None
-    varix: dict[Expr, int] = {}
-
-    def splitvar(factor: Expr) -> tuple[Expr, int]:
-        fbase, fexp = _base_exp(factor)
-        if fexp.denominator == 1 and fexp > 0:
-            return fbase, int(fexp)
-        return factor, 1
-
-    def tovec(factors: tuple[Expr, ...]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for fac in factors:
-            v, e = splitvar(fac)
-            i = varix.setdefault(v, len(varix))
-            counts[i] = counts.get(i, 0) + e
-        return counts
-
-    nraw = [(c, tovec(fs)) for c, fs in num]
-    draw = [(c, tovec(fs)) for c, fs in den]
-    nvars = len(varix)
-
-    def tup(counts: dict[int, int]) -> tuple[int, ...]:
-        return tuple(counts.get(i, 0) for i in range(nvars))
-
-    big: dict[tuple[int, ...], Rat] = {}
-    for c, counts in nraw:
-        key = tup(counts)
-        big[key] = big.get(key, 0) + c
-    dpoly: dict[tuple[int, ...], Rat] = {}
-    for c, counts in draw:
-        key = tup(counts)
-        dpoly[key] = dpoly.get(key, 0) + c
-
-    def okey(vec: tuple[int, ...]):
-        return (sum(vec), vec)
-
-    dlead = max(dpoly, key=okey)
-    dlc = dpoly[dlead]
-    quotient: dict[tuple[int, ...], Rat] = {}
-    remainder: dict[tuple[int, ...], Rat] = {}
-    guard = 0
-    while big:
-        guard += 1
-        if guard > 2000:
-            return None, None
-        nlead = max(big, key=okey)
-        diff = tuple(nv - dv for nv, dv in zip(nlead, dlead))
-        if any(dv < 0 for dv in diff):
-            remainder[nlead] = big.pop(nlead)
-            continue
-        qc = Fraction(big[nlead], dlc)
-        quotient[diff] = quotient.get(diff, 0) + qc
-        for dkey, dc in dpoly.items():
-            tkey = tuple(dv + dk for dv, dk in zip(diff, dkey))
-            nc = big.get(tkey, 0) - qc * dc
-            if nc == 0:
-                big.pop(tkey, None)
-            else:
-                big[tkey] = nc
-
-    variables = [None] * nvars
-    for v, i in varix.items():
-        variables[i] = v
-
-    def rebuild(poly: dict[tuple[int, ...], Rat]):
-        out = []
-        for vec, c in poly.items():
-            factors = []
-            for i, e in enumerate(vec):
-                if e:
-                    fac = pow_(variables[i], e)
-                    out_coeff, fs = _as_term(fac)
-                    c = c * out_coeff
-                    factors.extend(fs)
-            factors.sort(key=_factor_key)
-            out.append((c, tuple(factors)))
-        return out
-
-    return rebuild(quotient), rebuild(remainder)
+def numerator(e: Expr) -> Expr:
+    """e times S^k for each sum S under a negative integer power in e, with k
+    the largest such power of S over the terms.  The result holds no such
+    quotient unless some S holds one itself, so where the sums are nonzero,
+    e is zero exactly when the result is ZERO: a polynomial's zero test,
+    with no division and no size limit."""
+    e = _coerce(e)
+    clear: dict[Expr, int] = {}
+    for term in _terms(e):
+        for base, exp in map(_base_exp, _as_term(term)[1]):
+            if type(base) is Add and type(exp) is int and exp < 0:
+                clear[base] = max(clear.get(base, 0), -exp)
+    # the raw Pow(S, k) reaches mul unexpanded, so it meets each term's S^-j
+    return add(*[mul(term, *[Pow(s, k) for s, k in clear.items()]) for term in _terms(e)])
 
 
 def mul(*eargs: Expr) -> Expr:

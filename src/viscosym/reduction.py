@@ -25,8 +25,8 @@ import numpy as np
 
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
                    UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
-                   eval_batch, func, mul, neg, pow_, rebuild, reduce_quotients,
-                   sub, substitute, substitute_functions, to_text, unknown)
+                   eval_batch, func, mul, neg, numerator, pow_, rebuild, sub,
+                   substitute, substitute_functions, to_text, unknown)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
@@ -64,8 +64,9 @@ class SimilarityChart:
     """Invariant coordinates of a generator, with u = h(xi, eta) and
     f = g(xi, eta).
 
-    Construction checks V(xi) = V(eta) = 0 symbolically and that the map
-    (x, y, t) -> (xi, eta) has rank 2 at five sampled points.
+    Construction checks V(xi) = V(eta) = 0 symbolically, with the sums in
+    their denominators cleared, and that the map (x, y, t) -> (xi, eta) has
+    rank 2 at five sampled points.
     """
 
     generator: Generator
@@ -77,8 +78,8 @@ class SimilarityChart:
 
     def __post_init__(self):
         for name, inv in (("xi", self.xi), ("eta", self.eta)):
-            applied = reduce_quotients(self.generator.apply(inv))
-            if applied != ZERO:
+            applied = self.generator.apply(inv)
+            if numerator(applied) is not ZERO:
                 raise ExprError(f"{name} is not invariant: V({name}) = {to_text(applied)}")
         self._check_rank()
         object.__setattr__(self, "u_subst", unknown(H_FN, (), (self.xi, self.eta)))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ import pytest
 
 from viscosym import cli
 from viscosym.cli import run
+from viscosym.expr import Num
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -72,6 +74,30 @@ class TestVerify:
         assert payload["ok"] and payload["symbolic_zero"]
         assert payload["residual"] == "0"
 
+    def test_parameters_are_bound_in_a_json_generator(self, capsys):
+        # b*u in phi1 is 0*u under --param-b 0, as b is in the equation
+        code, payload = run_json(
+            capsys, "verify", "--param-b", "0", "verify", "--generator",
+            '{"xi1":"x","xi2":"y","xi3":"2*t","phi1":"b*u","phi2":"-4*f"}')
+        assert code == 0
+        assert payload["ok"] and payload["symbolic_zero"]
+
+    def test_a_small_parameter_is_bound_as_written(self, capsys):
+        # a = 1e-10 once bound as the nearest fraction with denominator at
+        # most 10^9, which is 0, and the check passed with residual 0
+        code, payload = run_json(
+            capsys, "verify", "--tol", "1e-12", "--param-a", "1e-10", "--param-b", "0",
+            "verify", "--generator", '{"xi1":"x"}')
+        assert code == 1
+        assert payload["residual"] == "1/5000000000*u_xxt"
+
+    @pytest.mark.parametrize("text, value", [
+        ("2", 2), ("0.5", Fraction(1, 2)), ("-1.25", Fraction(-5, 4)), ("-1", -1),
+        ("1e-10", Fraction(1, 10 ** 10)), ("0.1", Fraction(1, 10)), ("-0", 0),
+        ("1." + "0" * 30 + "1", 1)])     # beyond a double's digits
+    def test_parameter_values_are_exact_decimals(self, text, value):
+        assert cli._param(text, "--param-a") is Num(value)
+
     def test_non_symmetry_fails(self, capsys):
         code, payload = run_json(capsys, "verify", "verify",
                                  "--generator", '{"xi1": "t"}')
@@ -93,6 +119,30 @@ class TestVerify:
         assert code == 0
         assert payload["ok"] and payload["symbolic_zero"]
         assert payload["residual"] == "0"
+
+    def test_parameters_are_bound_in_a_json_generator(self, capsys):
+        # b*u in phi1 is 0*u under --param-b 0, as b is in the equation
+        code, payload = run_json(
+            capsys, "verify", "--param-b", "0", "verify", "--generator",
+            '{"xi1":"x","xi2":"y","xi3":"2*t","phi1":"b*u","phi2":"-4*f"}')
+        assert code == 0
+        assert payload["ok"] and payload["symbolic_zero"]
+
+    def test_a_small_parameter_is_bound_as_written(self, capsys):
+        # a = 1e-10 once bound as the nearest fraction with denominator at
+        # most 10^9, which is 0, and the check passed with residual 0
+        code, payload = run_json(
+            capsys, "verify", "--tol", "1e-12", "--param-a", "1e-10", "--param-b", "0",
+            "verify", "--generator", '{"xi1":"x"}')
+        assert code == 1
+        assert payload["residual"] == "1/5000000000*u_xxt"
+
+    @pytest.mark.parametrize("text, value", [
+        ("2", 2), ("0.5", Fraction(1, 2)), ("-1.25", Fraction(-5, 4)), ("-1", -1),
+        ("1e-10", Fraction(1, 10 ** 10)), ("0.1", Fraction(1, 10)), ("-0", 0),
+        ("1." + "0" * 30 + "1", 1)])     # beyond a double's digits
+    def test_parameter_values_are_exact_decimals(self, text, value):
+        assert cli._param(text, "--param-a") is Num(value)
 
 
 class TestOptimal:
@@ -278,6 +328,9 @@ class TestInputValidation:
         ["verify", "--generator", "X4", "--param-a", "inf"],
         ["verify", "--generator", "X4", "--param-b", "nan"],
         ["reduce", "--generator", "X1", "--param-a=-inf"],
+        # a nonzero value that underflows, and a value that is no number
+        ["verify", "--generator", "X4", "--param-a", "1e-400"],
+        ["--param-b=abc", "verify", "--generator", "X4"],
         ["verify", "--generator", "X4", "--tol", "nan"],
         # a sampled check compares |value| < tol, so tol <= 0 never passes
         ["--tol=-1", "verify-reduction", "--generator=X1+X3"],

@@ -12,8 +12,8 @@ from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
                            Num, Pow, SubstitutionCycleError,
                            UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
                            canonicalize, diff_atom, equals, eval_numeric,
-                           join_signed, max_abs_sample, mul, pow_, rebuild,
-                           reduce_quotients, signed_term, sub, substitute,
+                           join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
+                           signed_term, sub, substitute,
                            substitute_functions, term_map, to_text,
                            total_derivative)
 from viscosym.parsing import ParseError, UnknownIdentifierError
@@ -169,9 +169,21 @@ class TestCanonicalForm:
     def test_quotient_reduction(self, space):
         e = space.parse("x^2/(x^2 + y^2) + y^2/(x^2 + y^2)")
         assert e != ONE                      # plain canonical form keeps the split
-        assert reduce_quotients(e) == ONE    # the quotient pass merges it
+        assert numerator(sub(e, ONE)) is ZERO
         partial = space.parse("x^2/(x^2 + y^2) + y^2/(x^2 + y^2) + x/(x^2 + y^2)")
-        assert reduce_quotients(partial) == space.parse("1 + x/(x^2 + y^2)")
+        assert numerator(partial) is space.parse("x^2 + y^2 + x")
+        assert numerator(sub(partial, space.parse("1 + x/(x^2 + y^2)"))) is ZERO
+
+    def test_numerator_clears_the_largest_power(self, space):
+        # with S = x + y this is (x + S - (2*x + y))/S^2 = 0; clearing S
+        # only once leaves 1 - x/S - y/S, which is not ZERO in form
+        e = space.parse("x*(x + y)^-2 + (x + y)^-1 - (2*x + y)*(x + y)^-2")
+        assert e is not ZERO
+        assert numerator(e) is ZERO
+        both = space.parse("1/(x + y) + 1/(x - y) - 2*x/(x^2 - y^2)")
+        assert numerator(both) is ZERO       # each sum is cleared, not only one
+        assert numerator(space.parse("x*(x + y)^-2")) is x
+        assert numerator(space.parse("x*(x + y)^-2 + 1")) is not ZERO
 
 
 class TestCalculus:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viscosym.expr import (Add, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
-                           bind_jets, diff_atom, eval_numeric, mul, pow_, sub,
+from viscosym.expr import (Add, ExprError, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
+                           bind_jets, diff_atom, eval_numeric, mul, numerator, pow_, sub,
                            substitute, substitute_functions, to_text,
                            total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
@@ -50,9 +50,23 @@ class TestCharts:
         for label in cases:
             gen = parse_basis_combination(label)
             chart = characteristic_invariants(gen)
-            from viscosym.expr import reduce_quotients
-            assert reduce_quotients(gen.apply(chart.xi)) == ZERO
-            assert reduce_quotients(gen.apply(chart.eta)) == ZERO
+            assert numerator(gen.apply(chart.xi)) is ZERO
+            assert numerator(gen.apply(chart.eta)) is ZERO
+
+    @pytest.mark.parametrize("eta_text", ["atan2(y, x) + 2*t", "atan2(y, x) - t",
+                                          "atan2(y, x)"])
+    def test_chart_rejects_a_non_invariant(self, eta_text):
+        # V(atan2(y, x)) = -(x^2 + y^2)/(x^2 + y^2) under X4, so only + t
+        # cancels it; the check must clear that denominator, not skip it
+        gen = parse_basis_combination("X4 + X3")
+        with pytest.raises(ExprError, match="eta is not invariant"):
+            SimilarityChart(gen, BASE.parse("x^2 + y^2"), BASE.parse(eta_text), "rotation")
+
+    def test_chart_accepts_the_rotation_invariant(self):
+        gen = parse_basis_combination("X4 + X3")
+        eta_ = BASE.parse("atan2(y, x) + t")
+        chart = SimilarityChart(gen, BASE.parse("x^2 + y^2"), eta_, "rotation")
+        assert chart.eta is eta_ and chart == characteristic_invariants(gen)
 
     def test_rotation_chart(self):
         chart = characteristic_invariants(standard_basis()[3])

@@ -6,7 +6,9 @@ subtrees, sin/cos/exp of integer linear forms, and sin/cos of such forms to
 the powers -1 and -2.  Each recipe is built
 twice, as a raw (uncanonicalized) kernel tree and as a sympy expression, and
 ``canonicalize``, ``diff_atom`` and ``substitute`` are checked against
-sympy's ``expand``/``expand_trig``, ``diff`` and ``subs``.
+sympy's ``expand``/``expand_trig``, ``diff`` and ``subs``.  Quotient
+recipes, whose only non-polynomial nodes are the powers -1 to -3 of
+polynomial sums, check ``numerator`` against ``cancel``.
 
 Equality is decided exactly, never by sampling: after ``expand_trig``
 every angle is a single symbol, sin, cos, exp and square-root atoms become
@@ -25,8 +27,9 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from viscosym.expr import (Add, DomainEvalError, Func, Mul, Num, Pow, Sym, canonicalize,
-                           diff_atom, substitute, term_map)
+from viscosym.expr import (ZERO, Add, DomainEvalError, Func, Mul, Num, Pow, Sym, add,
+                           canonicalize, diff_atom, mul, numerator, pow_, sub, substitute,
+                           term_map)
 from viscosym.spaces import a, t, x, y
 
 SYMBOLS = (x, y, t, a)
@@ -75,6 +78,16 @@ _negative_trig = st.tuples(
 recipes = st.recursive(st.one_of(_leaf, _function, _rational_power, _pythagorean_pair,
                                  _negative_trig),
                        _combine, max_leaves=8)
+
+
+def _arithmetic(children):
+    return st.tuples(st.sampled_from(("add", "sub", "mul")), children, children)
+
+
+# sums of polynomials to the powers -1 to -3, combined by +, - and *
+_quotient = st.tuples(st.just("pow"), st.tuples(st.just("add"), _polynomial, _polynomial),
+                      st.sampled_from((-1, -2, -3)))
+quotient_recipes = st.recursive(st.one_of(_leaf, _quotient), _arithmetic, max_leaves=5)
 
 
 def raw_tree(recipe):
@@ -131,6 +144,19 @@ def to_sympy(e):
     if isinstance(e, Add):
         return sympy.Add(*map(to_sympy, e.terms))
     raise TypeError(f"unexpected node {e!r}")
+
+
+def from_sympy(e):
+    """A sympy rational function of x, y, t and a as a canonical kernel tree."""
+    if e.is_Symbol:
+        return next(s for s in SYMBOLS if SP[s] == e)
+    if e.is_Rational:
+        return Num(Fraction(int(e.p), int(e.q)))
+    if e.is_Pow:
+        assert e.exp.is_Integer, f"{e} is not an integer power"
+        return pow_(from_sympy(e.base), int(e.exp))
+    parts = [from_sympy(arg) for arg in e.args]
+    return add(*parts) if e.is_Add else mul(*parts)
 
 
 def _symbolize(e):
@@ -265,6 +291,20 @@ def test_substitute_matches_subs(recipe, for_x, for_y):
     if expected.has(sympy.zoo, sympy.nan):
         reject()
     assert is_zero(expected - to_sympy(result))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotient_recipes, quotient_recipes)
+@example(("mul", ("sym", x), ("pow", ("add", ("sym", x), ("sym", y)), -2)),
+         ("sub", ("pow", ("add", ("sym", x), ("sym", y)), -1),
+          ("mul", ("sym", y), ("pow", ("add", ("sym", x), ("sym", y)), -2))))
+def test_numerator_is_zero_where_cancel_is(first, second):
+    # x/(x+y)^2 = 1/(x+y) - y/(x+y)^2 in the example; a recipe against its
+    # own cancelled form is always a zero, so both sides are exercised
+    e = canonical(("sub", first, second))
+    assert (numerator(e) is ZERO) == (sympy.cancel(to_sympy(e)) == 0)
+    same = small(sub(canonical(first), from_sympy(sympy.cancel(sympy_tree(first)))), 60)
+    assert numerator(same) is ZERO
 
 
 def test_both_negative_powers_stay_two_nodes():
