@@ -468,18 +468,22 @@ def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr) -> None:
 
 def numerator(e: Expr) -> Expr:
     """e times S^k for each sum S under a negative integer power in e, with k
-    the largest such power of S over the terms.  The result holds no such
-    quotient unless some S holds one itself, so where the sums are nonzero,
-    e is zero exactly when the result is ZERO: a polynomial's zero test,
-    with no division and no size limit."""
+    the largest such power of S over the terms, repeated until no such
+    quotient is left.  A pass leaves only the quotients nested inside the
+    S, so the passes are bounded by the nesting depth.  Where the sums are
+    nonzero, e is zero exactly when the result is ZERO: a polynomial's zero
+    test, with no division and no size limit."""
     e = _coerce(e)
-    clear: dict[Expr, int] = {}
-    for term in _terms(e):
-        for base, exp in map(_base_exp, _as_term(term)[1]):
-            if type(base) is Add and type(exp) is int and exp < 0:
-                clear[base] = max(clear.get(base, 0), -exp)
-    # the raw Pow(S, k) reaches mul unexpanded, so it meets each term's S^-j
-    return add(*[mul(term, *[Pow(s, k) for s, k in clear.items()]) for term in _terms(e)])
+    while True:
+        clear: dict[Expr, int] = {}
+        for term in _terms(e):
+            for base, exp in map(_base_exp, _as_term(term)[1]):
+                if type(base) is Add and type(exp) is int and exp < 0:
+                    clear[base] = max(clear.get(base, 0), -exp)
+        if not clear:
+            return e
+        # the raw Pow(S, k) reaches mul unexpanded, so it meets each term's S^-j
+        e = add(*[mul(term, *[Pow(s, k) for s, k in clear.items()]) for term in _terms(e)])
 
 
 def mul(*eargs: Expr) -> Expr:

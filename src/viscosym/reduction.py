@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
                    UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
                    eval_batch, func, mul, neg, numerator, pow_, rebuild, sub,
@@ -86,6 +84,7 @@ class SimilarityChart:
         object.__setattr__(self, "f_subst", unknown(G_FN, (), (self.xi, self.eta)))
 
     def _check_rank(self, seed: int = 7, points: int = 5):
+        import numpy as np  # on first use: most subcommands never need it
         entries = [diff_atom(inv, v) for inv in (self.xi, self.eta) for v in (x, y, t)]
         rng = np.random.default_rng(seed)
         # positive box: keeps clear of the rotation-chart axis and branch cut
@@ -309,6 +308,7 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
         pulled = substitute_functions(chart.u_subst, {H_FN: mono})
         u_images.append(sub(pde.compose(pulled, ZERO), base))
         f_images.append(sub(pde.compose(ZERO, pulled), base))
+    import numpy as np
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_functions):

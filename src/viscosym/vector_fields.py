@@ -235,17 +235,18 @@ class StructureConstants:
                 for k in range(n):
                     if self.c[i][j][k] != -self.c[j][i][k]:
                         raise ExprError("structure constants are not antisymmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        acc = Fraction(0)
-                        for m in range(n):
-                            acc += (self.c[i][j][m] * self.c[m][k][l]
-                                    + self.c[j][k][m] * self.c[m][i][l]
-                                    + self.c[k][i][m] * self.c[m][j][l])
-                        if acc != 0:
-                            raise ExprError("structure constants violate the Jacobi identity")
+        # with antisymmetry the Jacobi sum is alternating in (i, j, k), so
+        # i < j < k suffices, and only the nonzero constants contribute
+        nonzero = [[[(m, v) for m, v in enumerate(row) if v] for row in plane]
+                   for plane in self.c]
+        for i, j, k in itertools.combinations(range(n), 3):
+            acc: dict[int, Fraction] = {}
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, v in nonzero[p][q]:
+                    for l, w in nonzero[m][r]:
+                        acc[l] = acc.get(l, 0) + v * w
+            if any(acc.values()):
+                raise ExprError("structure constants violate the Jacobi identity")
         # the tensor is a cache key: hash its n^3 Fractions once, not per
         # lookup (equal tensors have equal c, so this agrees with ==)
         object.__setattr__(self, "_hash", hash(self.c))

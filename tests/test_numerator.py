@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -218,3 +219,14 @@ def test_the_reference_can_cycle():
     assert numerator(e) is SP.parse("-3*x*y")
     assert numerator(add(e, SP.parse("3*x*y*(5*x + 3*y)^-2"))) is ZERO
 
+
+@pytest.mark.parametrize("text", [
+    "1/(1 + 1/(x + y)) - (x + y)/(x + y + 1)",
+    "1/(1 + 1/(1 + 1/(x + y))) - (x + y + 1)/(2*x + 2*y + 1)",
+])
+def test_numerator_clears_quotients_nested_in_sums(text):
+    # a pass clears the sums at the top of each term, which leaves the
+    # (x + y)^-1 that 1 + 1/(x + y) held; the next pass clears that
+    e = SP.parse(text)
+    assert numerator(e) is ZERO
+    assert numerator(add(e, SP.parse("(x + y)^-1"))) is not ZERO

@@ -68,6 +68,16 @@ class TestCharts:
         chart = SimilarityChart(gen, BASE.parse("x^2 + y^2"), eta_, "rotation")
         assert chart.eta is eta_ and chart == characteristic_invariants(gen)
 
+    def test_chart_clears_quotients_nested_in_sums(self):
+        # V = p*dx + q*dt with p = (x + y)/(x + y + 1) and q = 1/(1 + 1/(x + y)):
+        # p = q, so V(x - t) = p - q is zero, but only after two clearing passes
+        p, q = BASE.parse("(x + y)/(x + y + 1)"), BASE.parse("1/(1 + 1/(x + y))")
+        chart = SimilarityChart(Generator(xi1=p, xi3=q), y, BASE.parse("x - t"), "linear")
+        assert chart.eta is BASE.parse("x - t")
+        with pytest.raises(ExprError, match="eta is not invariant"):
+            SimilarityChart(Generator(xi1=p, xi3=add(q, BASE.parse("1/(x + y)"))), y,
+                            BASE.parse("x - t"), "linear")
+
     def test_rotation_chart(self):
         chart = characteristic_invariants(standard_basis()[3])
         assert chart.xi == BASE.parse("x^2 + y^2")

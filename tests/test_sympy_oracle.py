@@ -7,8 +7,9 @@ the powers -1 and -2.  Each recipe is built
 twice, as a raw (uncanonicalized) kernel tree and as a sympy expression, and
 ``canonicalize``, ``diff_atom`` and ``substitute`` are checked against
 sympy's ``expand``/``expand_trig``, ``diff`` and ``subs``.  Quotient
-recipes, whose only non-polynomial nodes are the powers -1 to -3 of
-polynomial sums, check ``numerator`` against ``cancel``.
+recipes, whose only non-polynomial nodes are the powers -1 to -3 of sums
+(a polynomial plus a polynomial or the reciprocal of a polynomial sum),
+check ``numerator`` against ``cancel``.
 
 Equality is decided exactly, never by sampling: after ``expand_trig``
 every angle is a single symbol, sin, cos, exp and square-root atoms become
@@ -84,9 +85,14 @@ def _arithmetic(children):
     return st.tuples(st.sampled_from(("add", "sub", "mul")), children, children)
 
 
-# sums of polynomials to the powers -1 to -3, combined by +, - and *
-_quotient = st.tuples(st.just("pow"), st.tuples(st.just("add"), _polynomial, _polynomial),
-                      st.sampled_from((-1, -2, -3)))
+# sums of polynomials to the powers -1 to -3, combined by +, - and *; a
+# sum may hold a reciprocal of a sum itself, one level deep
+def _quotient_of(inner, exps):
+    return st.tuples(st.just("pow"), st.tuples(st.just("add"), _polynomial, inner),
+                     st.sampled_from(exps))
+
+
+_quotient = _quotient_of(st.one_of(_polynomial, _quotient_of(_polynomial, (-1,))), (-1, -2, -3))
 quotient_recipes = st.recursive(st.one_of(_leaf, _quotient), _arithmetic, max_leaves=5)
 
 
