@@ -21,9 +21,8 @@ from .vector_fields import (Generator, PDEInstance, StructureConstants,
                             prolong, standard_basis, symmetry_family_bodies,
                             verify_symmetry, viscoelastic_pde)
 from .adjoint import (AdjointMatrix, NormalizationResult, OptimalClass,
-                      adjoint_matrices, adjoint_matrix, adjoint_table,
-                      apply_adjoint, audit_adjoint_table, equivalent,
-                      normalize)
+                      adjoint_matrices, adjoint_matrix, apply_adjoint,
+                      audit_adjoint_table, equivalent, normalize)
 from .reduction import (ReducedPDE, SimilarityChart, audit_reduction_table,
                         characteristic_invariants, published_reduction_rows,
                         published_similarity_rows, reduce_pde,

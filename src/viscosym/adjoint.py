@@ -25,7 +25,7 @@ from .vector_fields import StructureConstants, combo_text, commutator_table
 
 __all__ = [
     "AdjointMatrix", "OptimalClass", "NormalizationResult", "AdjointSeriesError",
-    "adjoint_matrix", "adjoint_matrices", "adjoint_table", "audit_adjoint_table",
+    "adjoint_matrix", "adjoint_matrices", "audit_adjoint_table",
     "apply_adjoint", "normalize", "equivalent", "PUBLISHED_ADJOINT_TABLE",
 ]
 
@@ -70,11 +70,6 @@ class AdjointMatrix:
         dim = len(self.labels)
         values = eval_batch([e for row in self.entries for e in row], {S_PARAM: [value]})
         return [[v[0] for v in values[i:i + dim]] for i in range(0, len(values), dim)]
-
-    def column_text(self, r: int) -> str:
-        """Ad(exp(s X_t)) X_r as a combination of the basis (1-indexed r)."""
-        return combo_text([self.entries[k][r - 1] for k in range(len(self.labels))],
-                          self.labels)
 
 
 def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
@@ -139,13 +134,6 @@ def adjoint_matrices(constants: StructureConstants | None = None) -> tuple[Adjoi
 @functools.lru_cache(maxsize=8)
 def _adjoint_matrices(constants: StructureConstants) -> tuple[AdjointMatrix, ...]:
     return tuple(adjoint_matrix(t, constants) for t in range(1, constants.dim + 1))
-
-
-def adjoint_table(constants: StructureConstants | None = None) -> list[list[str]]:
-    """Entry (t, r): Ad(exp(s X_t)) X_r rendered over the basis."""
-    matrices = adjoint_matrices(constants)
-    dim = len(matrices[0].labels)
-    return [[m.column_text(r) for r in range(1, dim + 1)] for m in matrices]
 
 
 # The adjoint table as printed in the published reference (row X_t, column
@@ -226,12 +214,10 @@ class NormalizationResult:
     scale: float
 
 
-def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float],
-                  matrices: Sequence[AdjointMatrix] | None = None) -> tuple[float, ...]:
+def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tuple[float, ...]:
     """Apply the left-to-right product of Ad matrices M_{t1}(s1) M_{t2}(s2)...
     to a coefficient vector (so the last letter acts on v first)."""
-    if matrices is None:
-        matrices = adjoint_matrices()
+    matrices = adjoint_matrices()
     vec = [float(comp) for comp in v]
     for t, value in reversed(list(word)):
         m = matrices[t - 1].at(float(value))
@@ -239,8 +225,7 @@ def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float],
     return tuple(vec)
 
 
-def normalize(v: Sequence[float],
-              matrices: Sequence[AdjointMatrix] | None = None) -> NormalizationResult:
+def normalize(v: Sequence[float]) -> NormalizationResult:
     """Normalize a nonzero coefficient vector to its optimal-system
     representative, following the case split a4, then a2, then a1.
 
@@ -283,7 +268,7 @@ def normalize(v: Sequence[float],
     else:
         scale = 1.0 / a5
         cls = OptimalClass(4, "4b", 0.0, 0.0, (0.0, 0.0, 0.0, 0.0, 1.0))
-    moved = apply_adjoint(word, vec, matrices)
+    moved = apply_adjoint(word, vec)
     rep = tuple(scale * comp for comp in moved)
     if not all(map(math.isfinite, (scale, *rep, *cls.representative))):
         raise ExprError("numeric overflow: the normalized vector exceeds the double range")
@@ -293,8 +278,7 @@ def normalize(v: Sequence[float],
     return NormalizationResult(cls, tuple(word), scale)
 
 
-def equivalent(v: Sequence[float], w: Sequence[float], *, tol: float = 1e-9,
-               matrices: Sequence[AdjointMatrix] | None = None) -> bool:
+def equivalent(v: Sequence[float], w: Sequence[float], *, tol: float = 1e-9) -> bool:
     """Whether v and w span adjoint-equivalent one-dimensional subalgebras.
 
     Classes 1 and 2 form one rotation family: the plane rotation carries X1
@@ -302,8 +286,8 @@ def equivalent(v: Sequence[float], w: Sequence[float], *, tol: float = 1e-9,
     are compared up to a joint sign.  Class 3 and class 4 parameters are
     adjoint- and scaling-invariant, hence compared exactly.
     """
-    left = normalize(v, matrices)
-    right = normalize(w, matrices)
+    left = normalize(v)
+    right = normalize(w)
     lc, rc = left.cls, right.cls
     if lc.label == "4b" or rc.label == "4b":
         return lc.label == rc.label

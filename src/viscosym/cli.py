@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Every capability is exposed as a subcommand with machine-readable output
-(json, markdown or csv) and stable exit codes: 0 on success or a passing
-check, 1 when an audit finds mismatches against the published tables (the
-expected outcome for the adjoint-table and reduced-equation audits) or a
-verification fails, 2 on usage errors (including expression parse errors,
-which carry a byte offset), 3 on an internal error (an unexpected exception,
-reported as one line).
+(JSON, or one markdown table; flow prints CSV instead) and stable exit
+codes: 0 on success or a passing check, 1 when an audit finds mismatches
+against the published tables (the expected outcome for the adjoint-table
+and reduced-equation audits) or a verification fails, 2 on usage errors
+(including expression parse errors, which carry a byte offset), 3 on an
+internal error (an unexpected exception, reported as one line).
 
 Identical inputs and seed produce byte-identical output; the random seed
 and output format can also be set through the environment variables
@@ -47,28 +47,20 @@ class RunConfig:
     params: dict = field(default_factory=dict)     # a, b -> their --param-* values
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(payload) -> None:
-    _emit(json.dumps(payload, indent=2))
-
-
-def _render(payload: dict, config: RunConfig) -> None:
-    """A flat payload as JSON, or as a markdown field | value table."""
-    if config.fmt == "markdown":
-        _emit(_md_table(["field", "value"],
-                        [[k, json.dumps(v)] for k, v in payload.items()]))
+def _render(payload: dict, config: RunConfig, table: tuple | None = None,
+            note: str = "") -> None:
+    """The payload as JSON, or under --format markdown as one table: the
+    (headers, rows) given, after an optional note line, else field | value."""
+    if config.fmt != "markdown":
+        text = json.dumps(payload, indent=2)
     else:
-        _emit_json(payload)
-
-
-def _md_table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines)
+        headers, rows = table or (["field", "value"],
+                                  [[k, json.dumps(v)] for k, v in payload.items()])
+        text = "\n".join("| " + " | ".join(row) + " |"
+                         for row in [headers, ["---"] * len(headers), *rows])
+        if note:
+            text = f"{note}\n\n{text}"
+    sys.stdout.write(text + "\n")
 
 
 def _finite(value: float | None, what: str) -> float | None:
@@ -120,41 +112,33 @@ def _cmd_table(args, config: RunConfig) -> int:
     constants = vf.commutator_table()
     labels = list(constants.labels)
     cells = [[constants.entry_text(i, j) for j in range(1, 6)] for i in range(1, 6)]
-    if config.fmt == "markdown":
-        _emit(_md_table(["[ , ]"] + labels,
-                        [[labels[i]] + cells[i] for i in range(5)]))
-    else:
-        _emit_json({"labels": labels, "cells": cells})
+    _render({"labels": labels, "cells": cells}, config,
+            (["[ , ]"] + labels, [[labels[i]] + cells[i] for i in range(5)]))
     return 0
 
 
 def _cmd_adjoint_table(args, config: RunConfig) -> int:
     audit = adjoint.audit_adjoint_table()
     mismatches = [cell for cell in audit if not cell.match]
-    if config.fmt == "markdown":
-        rows = [[str(cell.t), str(cell.r), cell.expected_from_series,
-                 cell.paper_table_2, "yes" if cell.match else "NO"]
-                for cell in audit]
-        _emit(_md_table(["t", "r", "series", "published", "match"], rows))
-    else:
-        _emit_json({
-            "cells": [{"t": cell.t, "r": cell.r,
-                       "expected_from_series": cell.expected_from_series,
-                       "paper_table_2": cell.paper_table_2,
-                       "match": cell.match} for cell in audit],
-            "mismatch_count": len(mismatches),
-        })
+    payload = {
+        "cells": [{"t": cell.t, "r": cell.r,
+                   "expected_from_series": cell.expected_from_series,
+                   "paper_table_2": cell.paper_table_2,
+                   "match": cell.match} for cell in audit],
+        "mismatch_count": len(mismatches),
+    }
+    rows = [[str(cell.t), str(cell.r), cell.expected_from_series,
+             cell.paper_table_2, "yes" if cell.match else "NO"] for cell in audit]
+    _render(payload, config, (["t", "r", "series", "published", "match"], rows))
     return AUDIT_MISMATCH if mismatches else 0
 
 
 def _cmd_adjoint_matrix(args, config: RunConfig) -> int:
     matrix = adjoint.adjoint_matrix(args.t)
     entries = [[to_text(e) for e in row] for row in matrix.entries]
-    if config.fmt == "markdown":
-        _emit(_md_table([f"M{args.t}"] + [f"c{j+1}" for j in range(5)],
-                        [[f"r{i+1}"] + entries[i] for i in range(5)]))
-    else:
-        _emit_json({"t": args.t, "entries": entries})
+    _render({"t": args.t, "entries": entries}, config,
+            ([f"M{args.t}"] + [f"c{j+1}" for j in range(5)],
+             [[f"r{i+1}"] + entries[i] for i in range(5)]))
     return 0
 
 
@@ -191,14 +175,11 @@ def _cmd_determining(args, config: RunConfig) -> int:
                        "expression": to_text(eq)}
                       for mono, eq in system.records],
     }
-    if config.fmt == "markdown":
-        rows = [[e["monomial"], e["expression"]] for e in payload["equations"]]
-        _emit(f"monomials: {system.raw_count}, unique: {system.unique_count}, "
-              f"published count: {PUBLISHED_DETERMINING_COUNT} (not asserted), "
-              f"solution check: {'pass' if solution_ok else 'FAIL'}\n\n"
-              + _md_table(["monomial", "equation"], rows))
-    else:
-        _emit_json(payload)
+    rows = [[e["monomial"], e["expression"]] for e in payload["equations"]]
+    _render(payload, config, (["monomial", "equation"], rows),
+            note=f"monomials: {system.raw_count}, unique: {system.unique_count}, "
+                 f"published count: {PUBLISHED_DETERMINING_COUNT} (not asserted), "
+                 f"solution check: {'pass' if solution_ok else 'FAIL'}")
     return 0 if solution_ok else 1
 
 
@@ -226,12 +207,19 @@ def _published_row_index(label: str) -> int | None:
     return None
 
 
-def _cmd_reduce(args, config: RunConfig) -> int:
+def _reduction(args, config: RunConfig):
+    """The --generator's chart, its reduced equation and the numeric
+    cross-check of the two, at --tol (default 1e-7)."""
     pde = _pde(config)
-    gen = _parse_generator(args.generator, config)
-    chart = reduction.characteristic_invariants(gen)
+    chart = reduction.characteristic_invariants(_parse_generator(args.generator, config))
     reduced = reduction.reduce_pde(pde, chart)
-    report = reduction.verify_reduction(pde, chart, reduced, seed=config.seed)
+    tol = config.tol if config.tol is not None else 1e-7
+    report = reduction.verify_reduction(pde, chart, reduced, seed=config.seed, tol=tol)
+    return pde, chart, reduced, report
+
+
+def _cmd_reduce(args, config: RunConfig) -> int:
+    pde, chart, reduced, report = _reduction(args, config)
     row_index = _published_row_index(args.generator)
     payload = {
         "generator": args.generator,
@@ -258,13 +246,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
 
 
 def _cmd_verify_reduction(args, config: RunConfig) -> int:
-    pde = _pde(config)
-    gen = _parse_generator(args.generator, config)
-    chart = reduction.characteristic_invariants(gen)
-    reduced = reduction.reduce_pde(pde, chart)
-    tol = config.tol if config.tol is not None else 1e-7
-    report = reduction.verify_reduction(pde, chart, reduced,
-                                        seed=config.seed, tol=tol)
+    report = _reduction(args, config)[3]
     payload = {
         "generator": args.generator,
         "max_discrepancy": report.max_discrepancy,
@@ -310,19 +292,18 @@ def _cmd_flow(args, config: RunConfig) -> int:
     seeds = _read_seeds(args.seeds)
     lo, hi = (_finite(float(v), "--eps bounds") for v in (lo_s, hi_s))
     samples = flows.sample_flow(fm, seeds, (lo, hi, int(n_s)), project_xy=args.project_xy)
-    if config.fmt == "json":
-        columns = ["seed_id", "eps", "x", "y"] + ([] if args.project_xy else ["t"])
-        rows = [[s.seed_id, s.eps, s.x, s.y] + ([] if args.project_xy else [s.t])
-                for s in samples]
-        _emit_json({
-            "generator": args.generator,
-            "map": {"x": to_text(fm.x_eps), "y": to_text(fm.y_eps),
-                    "t": to_text(fm.t_eps)},
-            "columns": columns,
-            "rows": rows,
-        })
-    else:
-        _emit(flows.samples_to_csv(samples))
+    if config.fmt != "json":    # flow's one table form is CSV, under markdown too
+        sys.stdout.write(flows.samples_to_csv(samples))
+        return 0
+    columns = ["seed_id", "eps", "x", "y"] + ([] if args.project_xy else ["t"])
+    rows = [[s.seed_id, s.eps, s.x, s.y] + ([] if args.project_xy else [s.t])
+            for s in samples]
+    _render({
+        "generator": args.generator,
+        "map": {"x": to_text(fm.x_eps), "y": to_text(fm.y_eps), "t": to_text(fm.t_eps)},
+        "columns": columns,
+        "rows": rows,
+    }, config)
     return 0
 
 
@@ -356,45 +337,36 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         _add_common(p, suppress=True)
         return p
 
-    command("table", "commutator table of the symmetry basis")
-    command("adjoint-table", "adjoint action audit against the published table")
-    p = command("adjoint-matrix", "one adjoint matrix, exact in s")
+    command("table", _cmd_table, "commutator table of the symmetry basis")
+    command("adjoint-table", _cmd_adjoint_table,
+            "adjoint action audit against the published table")
+    p = command("adjoint-matrix", _cmd_adjoint_matrix, "one adjoint matrix, exact in s")
     p.add_argument("--t", type=int, required=True, help="basis index 1..5")
-    p = command("verify", "check a generator for the symmetry condition")
+    p = command("verify", _cmd_verify, "check a generator for the symmetry condition")
     p.add_argument("--generator", required=True,
                    help='basis label/combination ("X1 + 2*X3") or JSON with xi1..phi2')
-    command("determining", "determining equations and the solution check")
-    p = command("optimal", "normalize a coefficient vector into the optimal system")
+    command("determining", _cmd_determining, "determining equations and the solution check")
+    p = command("optimal", _cmd_optimal,
+                "normalize a coefficient vector into the optimal system")
     p.add_argument("--coeffs", required=True, help="five comma-separated numbers")
-    p = command("reduce", "similarity chart and reduced equation")
+    p = command("reduce", _cmd_reduce, "similarity chart and reduced equation")
     p.add_argument("--generator", required=True)
-    p = command("verify-reduction", "numeric cross-check of the reduction")
+    p = command("verify-reduction", _cmd_verify_reduction,
+                "numeric cross-check of the reduction")
     p.add_argument("--generator", required=True)
-    p = command("flow", "sample one-parameter flow trajectories")
+    p = command("flow", _cmd_flow, "sample one-parameter flow trajectories")
     p.add_argument("--generator", required=True)
     p.add_argument("--seeds", required=True, help="JSON or CSV file of (x, y, t) seeds")
     p.add_argument("--eps", required=True, help="LO:HI:N sampling of the parameter")
     p.add_argument("--project-xy", action="store_true",
                    help="drop the t column (plane projection)")
     return parser
-
-
-_COMMANDS = {
-    "table": _cmd_table,
-    "adjoint-table": _cmd_adjoint_table,
-    "adjoint-matrix": _cmd_adjoint_matrix,
-    "verify": _cmd_verify,
-    "determining": _cmd_determining,
-    "optimal": _cmd_optimal,
-    "reduce": _cmd_reduce,
-    "verify-reduction": _cmd_verify_reduction,
-    "flow": _cmd_flow,
-}
 
 
 _ENV_DEFAULTS = (("VISCOSYM_FORMAT", "--format"), ("VISCOSYM_SEED", "--seed"))
@@ -414,7 +386,7 @@ def run(argv: list[str] | None = None) -> int:
                   ((A_SYM, args.param_a, "--param-a"), (B_SYM, args.param_b, "--param-b"))
                   if text is not None}
         config = RunConfig(fmt=args.format, seed=args.seed, tol=tol, params=params)
-        return _COMMANDS[args.command](args, config)
+        return args.handler(args, config)
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, diff_atom,
                    eval_batch, func, mul, rebuild, sub, substitute, to_text)
@@ -123,8 +123,7 @@ def flow_map(v: Generator) -> FlowMap:
     return FlowMap(v, x_flow, y_flow, t_flow)
 
 
-@dataclass(frozen=True)
-class FlowSample:
+class FlowSample(NamedTuple):
     seed_id: int
     eps: float
     x: float

@@ -86,7 +86,6 @@ def test_criterion_4_optimal_system():
     """1000 seeded random vectors normalize into classes 1/2/3/4(4b); the
     adjoint word reproduces each representative to 1e-12; normalization is
     idempotent on every output."""
-    matrices = adj.adjoint_matrices()
     rng = np.random.default_rng(42)
     seen = set()
     for _ in range(1000):
@@ -97,14 +96,14 @@ def test_criterion_4_optimal_system():
             mask = rng.random(5) < 0.55
             vec = [m * sg if keep else 0.0
                    for m, sg, keep in zip(magnitudes, signs, mask)]
-        result = adj.normalize(vec, matrices)
+        result = adj.normalize(vec)
         seen.add(result.cls.label)
         assert result.cls.label in {"1", "2", "3", "4", "4b"}
-        moved = adj.apply_adjoint(result.word, vec, matrices)
+        moved = adj.apply_adjoint(result.word, vec)
         rep = tuple(result.scale * comp for comp in moved)
         err = max(abs(p - q) for p, q in zip(rep, result.cls.representative))
         assert err <= 1e-12, f"{vec}: reproduction error {err:.2e}"
-        again = adj.normalize(result.cls.representative, matrices)
+        again = adj.normalize(result.cls.representative)
         assert again.word == () and again.cls.label == result.cls.label
         assert max(abs(p - q) for p, q in
                    zip(again.cls.representative, result.cls.representative)) <= 1e-12

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from viscosym.adjoint import (AdjointSeriesError, _exp_series, adjoint_matrices,
-                              adjoint_matrix, adjoint_table, apply_adjoint,
-                              audit_adjoint_table, equivalent, normalize)
+                              adjoint_matrix, apply_adjoint, audit_adjoint_table,
+                              equivalent, normalize)
 from viscosym.expr import (ExprError, Num, ZERO, ONE, add, diff_atom, func, mul, pow_, sub,
                            substitute)
 from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_rat
@@ -182,86 +182,86 @@ class TestAudit:
         assert audit[(4, 2)].expected_from_series == "sin(s)*X1 + cos(s)*X2"
 
     def test_table_rendering(self):
-        table = adjoint_table()
-        assert table[2] == ["X1", "X2", "X3", "X4", "X5"]
-        assert table[0][3] == "s*X2 + X4"
+        audit = {(cell.t, cell.r): cell.expected_from_series for cell in audit_adjoint_table()}
+        assert [audit[(3, r)] for r in range(1, 6)] == ["X1", "X2", "X3", "X4", "X5"]
+        assert audit[(1, 4)] == "s*X2 + X4"
 
 
 class TestApplyAdjoint:
-    def test_quarter_turn(self, matrices):
-        moved = apply_adjoint([(4, math.pi / 2)], (1, 0, 0, 0, 0), matrices)
+    def test_quarter_turn(self):
+        moved = apply_adjoint([(4, math.pi / 2)], (1, 0, 0, 0, 0))
         assert np.allclose(moved, (0, -1, 0, 0, 0), atol=1e-12)
 
-    def test_empty_word_is_identity(self, matrices):
+    def test_empty_word_is_identity(self):
         v = (1.0, 2.0, 3.0, 4.0, 5.0)
-        assert apply_adjoint([], v, matrices) == v
+        assert apply_adjoint([], v) == v
 
-    def test_inverse_word(self, matrices):
+    def test_inverse_word(self):
         v = (1.0, -2.0, 0.5, 3.0, 4.0)
-        moved = apply_adjoint([(1, 0.7), (1, -0.7)], v, matrices)
+        moved = apply_adjoint([(1, 0.7), (1, -0.7)], v)
         assert np.allclose(moved, v, atol=1e-12)
 
-    def test_word_is_left_to_right_matrix_product(self, matrices):
+    def test_word_is_left_to_right_matrix_product(self):
         # [(4, pi/2), (1, 1.0)] means M4(pi/2) @ M1(1.0) @ v
         v = (0.0, 0.0, 0.0, 1.0, 0.0)
-        step = apply_adjoint([(1, 1.0)], v, matrices)         # X4 + X2
-        expected = apply_adjoint([(4, math.pi / 2)], step, matrices)
-        combined = apply_adjoint([(4, math.pi / 2), (1, 1.0)], v, matrices)
+        step = apply_adjoint([(1, 1.0)], v)   # X4 + X2
+        expected = apply_adjoint([(4, math.pi / 2)], step)
+        combined = apply_adjoint([(4, math.pi / 2), (1, 1.0)], v)
         assert np.allclose(combined, expected, atol=1e-12)
 
-    def test_nonfinite_parameter_rejected(self, matrices):
+    def test_nonfinite_parameter_rejected(self):
         with pytest.raises(Exception, match="finite"):
-            apply_adjoint([(1, math.inf)], (1, 0, 0, 0, 0), matrices)
+            apply_adjoint([(1, math.inf)], (1, 0, 0, 0, 0))
 
 
 class TestNormalize:
-    def test_rotation_class_representative(self, matrices):
-        result = normalize((0, 0, 2, 1, 3), matrices)
+    def test_rotation_class_representative(self):
+        result = normalize((0, 0, 2, 1, 3))
         assert result.cls.class_id == 3
         assert result.word == ()
         assert result.cls.c1 == pytest.approx(2.0)
         assert result.cls.c2 == pytest.approx(3.0)
 
-    def test_plane_rotation_case(self, matrices):
-        result = normalize((3, 4, 0, 0, 0), matrices)
+    def test_plane_rotation_case(self):
+        result = normalize((3, 4, 0, 0, 0))
         assert result.cls.class_id == 2
         assert result.word == ((4, -math.atan2(3, 4)),)
         assert result.scale == pytest.approx(1 / 5)
         assert result.cls.representative == pytest.approx((0, 1, 0, 0, 0))
 
-    def test_center_class(self, matrices):
-        result = normalize((0, 0, 7, 0, 2), matrices)
+    def test_center_class(self):
+        result = normalize((0, 0, 7, 0, 2))
         assert result.cls.class_id == 4 and result.cls.label == "4"
         assert result.cls.c1 == pytest.approx(2 / 7)
 
-    def test_scaling_only_subcase(self, matrices):
-        result = normalize((0, 0, 0, 0, -4), matrices)
+    def test_scaling_only_subcase(self):
+        result = normalize((0, 0, 0, 0, -4))
         assert result.cls.label == "4b"
         assert result.cls.representative == (0, 0, 0, 0, 1)
 
-    def test_rotation_beats_translations(self, matrices):
-        result = normalize((1, 1, 0, 1, 0), matrices)
+    def test_rotation_beats_translations(self):
+        result = normalize((1, 1, 0, 1, 0))
         assert result.cls.class_id == 3
-        moved = apply_adjoint(result.word, (1, 1, 0, 1, 0), matrices)
+        moved = apply_adjoint(result.word, (1, 1, 0, 1, 0))
         rep = tuple(result.scale * c for c in moved)
         assert np.allclose(rep, result.cls.representative, atol=1e-12)
 
-    def test_zero_vector_rejected(self, matrices):
+    def test_zero_vector_rejected(self):
         with pytest.raises(Exception, match="zero"):
-            normalize((0, 0, 0, 0, 0), matrices)
+            normalize((0, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("v", [(0, 0, 1, 1e-310, 0),     # 1/a4 overflows: c1 inf, c2 nan
                                    (0, 1e-200, 0, 0, 1e200)])  # a5/a2 overflows
-    def test_non_finite_result_is_an_overflow(self, matrices, v):
+    def test_non_finite_result_is_an_overflow(self, v):
         with pytest.raises(ExprError, match="numeric overflow"):
-            normalize(v, matrices)
+            normalize(v)
 
-    def test_idempotent(self, matrices):
+    def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = tuple(rng.uniform(-2, 2, size=5))
-            result = normalize(v, matrices)
-            again = normalize(result.cls.representative, matrices)
+            result = normalize(v)
+            again = normalize(result.cls.representative)
             assert again.word == ()
             assert again.cls.label == result.cls.label
             assert np.allclose(again.cls.representative, result.cls.representative,
@@ -269,29 +269,29 @@ class TestNormalize:
 
 
 class TestEquivalence:
-    def test_scalar_multiples(self, matrices):
-        assert equivalent((1, 2, 0, 3, 4), (2, 4, 0, 6, 8), matrices=matrices)
-        assert equivalent((1, 2, 0, 3, 4), (-1, -2, 0, -3, -4), matrices=matrices)
+    def test_scalar_multiples(self):
+        assert equivalent((1, 2, 0, 3, 4), (2, 4, 0, 6, 8))
+        assert equivalent((1, 2, 0, 3, 4), (-1, -2, 0, -3, -4))
 
-    def test_rotation_family_merges_classes_1_and_2(self, matrices):
-        assert equivalent((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), matrices=matrices)
-        assert equivalent((1, 0, 2, 0, 1), (0, 1, 2, 0, 1), matrices=matrices)
+    def test_rotation_family_merges_classes_1_and_2(self):
+        assert equivalent((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+        assert equivalent((1, 0, 2, 0, 1), (0, 1, 2, 0, 1))
 
-    def test_distinct_classes(self, matrices):
-        assert not equivalent((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), matrices=matrices)
-        assert not equivalent((0, 0, 1, 1, 0), (0, 0, 2, 1, 0), matrices=matrices)
-        assert not equivalent((0, 0, 1, 0, 0), (0, 0, 0, 0, 1), matrices=matrices)
+    def test_distinct_classes(self):
+        assert not equivalent((1, 0, 0, 0, 0), (0, 0, 1, 0, 0))
+        assert not equivalent((0, 0, 1, 1, 0), (0, 0, 2, 1, 0))
+        assert not equivalent((0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
 
-    def test_zero_vector_rejected(self, matrices):
+    def test_zero_vector_rejected(self):
         with pytest.raises(Exception, match="zero"):
-            equivalent((0, 0, 0, 0, 0), (1, 0, 0, 0, 0), matrices=matrices)
+            equivalent((0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
 
-    def test_orbit_invariance(self, matrices):
+    def test_orbit_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             v = tuple(rng.uniform(-2, 2, size=5))
             word = [(int(rng.integers(1, 6)), float(rng.uniform(-2, 2)))
                     for _ in range(3)]
             scale = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
-            moved = tuple(scale * c for c in apply_adjoint(word, v, matrices))
-            assert equivalent(v, moved, matrices=matrices, tol=1e-7)
+            moved = tuple(scale * c for c in apply_adjoint(word, v))
+            assert equivalent(v, moved, tol=1e-7)

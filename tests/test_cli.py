@@ -190,6 +190,18 @@ class TestReduce:
         assert payload["passed"]
         assert payload["max_discrepancy"] < 1e-7
 
+    def test_reduce_decides_its_check_at_tol(self, capsys):
+        # X4's discrepancy is about 3e-11: below the default 1e-7, above 1e-30
+        code, payload = run_json(capsys, "reduce", "reduce", "--generator", "X4",
+                                 "--tol=1e-30")
+        assert code == 1
+        assert payload["verify"]["max_discrepancy"] > 1e-30
+        code, payload = run_json(capsys, "reduce", "reduce", "--generator", "X4")
+        assert code == 0
+        code, payload = run_json(capsys, "verify-reduction", "verify-reduction",
+                                 "--generator", "X4", "--tol=1e-30")
+        assert code == 1 and not payload["passed"]
+
     def test_numeric_parameter_override(self, capsys):
         code, payload = run_json(capsys, "reduce", "reduce", "--generator", "X3",
                                  "--param-b", "2")
@@ -283,7 +295,7 @@ class TestErrorsAndDeterminism:
         def broken(args, config):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "table", broken)
+        monkeypatch.setattr(cli, "_cmd_table", broken)
         code = run(["table"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -294,7 +306,7 @@ class TestErrorsAndDeterminism:
         def stopped(args, config):
             raise exc()
 
-        monkeypatch.setitem(cli._COMMANDS, "table", stopped)
+        monkeypatch.setattr(cli, "_cmd_table", stopped)
         with pytest.raises(exc):
             run(["table"])
 

@@ -228,11 +228,30 @@ def is_zero(difference) -> bool:
         numerator = reduced
 
 
-def small(e, limit=30):
-    """e, unless it has more than ``limit`` monomials, counting a sum to the
-    power -k as its k-th power: a rare draw such as a cubed product of angle
-    sums, or cos(t + 4*x - 4*y)^-6, expands to hundreds, and sympy's side of
-    the check then takes seconds to minutes."""
+# expand_trig writes sin(w) and cos(w), w = sum c_i v_i, as polynomials of
+# degree sum |c_i| in the sines and cosines of the v_i
+MAX_ANGLE_DEGREE = 6
+
+
+def _angle_degree(e) -> int:
+    """The largest sum |c_i| over the angles sum c_i v_i of e's sin and cos
+    (0 when e has none)."""
+    if isinstance(e, Func):
+        own = (sum(abs(c) for factors, c in term_map(e.args[0]).items() if factors)
+               if e.fn in ("sin", "cos") else 0)
+        return max(own, *map(_angle_degree, e.args))
+    if isinstance(e, Pow):
+        return _angle_degree(e.base)
+    children = e.factors if isinstance(e, Mul) else e.terms if isinstance(e, Add) else ()
+    return max(map(_angle_degree, children), default=0)
+
+
+def fits(e, limit=30) -> bool:
+    """Whether e has at most ``limit`` monomials, counting a sum to the power
+    -k as its k-th power, and no sin/cos angle above MAX_ANGLE_DEGREE.  A
+    rare draw such as a cubed product of angle sums, cos(t + 4*x - 4*y)^-6,
+    or cos(4*x)^-1 after a substitution x -> 2*x - a expands to hundreds of
+    terms, and sympy's side of the check then takes seconds to minutes."""
     size = 0
     for factors in term_map(e):
         monomials = 1
@@ -240,7 +259,12 @@ def small(e, limit=30):
             if isinstance(factor, Pow) and isinstance(factor.base, Add) and factor.exp < 0:
                 monomials *= len(factor.base.terms) ** -math.floor(factor.exp)
         size += monomials
-    if size > limit:
+    return size <= limit and _angle_degree(e) <= MAX_ANGLE_DEGREE
+
+
+def small(e, limit=30):
+    """e, unless it does not fit the limits above: then the draw is rejected."""
+    if not fits(e, limit):
         reject()
     return e
 
@@ -311,6 +335,21 @@ def test_numerator_is_zero_where_cancel_is(first, second):
     assert (numerator(e) is ZERO) == (sympy.cancel(to_sympy(e)) == 0)
     same = small(sub(canonical(first), from_sympy(sympy.cancel(sympy_tree(first)))), 60)
     assert numerator(same) is ZERO
+
+
+def test_small_bounds_the_angle_degree():
+    # a draw on which sympy's side ran past 90 s: x -> 2x - a turns the
+    # angles 4x, 2x - a and 3x into 8x - 4a, 4x - 3a and 6x - 3a, which the
+    # kernel writes over the angles 8x, 6x, 4x, a, 2a, 3a and 4a; its 35
+    # monomials are below the monomial limit of 60 on their own
+    cos = lambda *terms: ("fn", "cos", ("lin", terms))
+    e = canonical(("add", ("sub", ("pow", cos((4, x)), -1), ("pow", cos((3, x)), -1)),
+                   ("add", ("pow", cos((2, x), (-1, a)), 3), ("sym", t))))
+    moved = substitute(e, {x: canonicalize(raw_tree(("lin", ((2, x), (-1, a)))))})
+    assert len(term_map(moved)) == 35 and _angle_degree(moved) == 8
+    assert not fits(moved, 60)
+    at_limit = canonical(("pow", cos((6, x)), -1))
+    assert _angle_degree(at_limit) == MAX_ANGLE_DEGREE and fits(at_limit)
 
 
 def test_both_negative_powers_stay_two_nodes():
