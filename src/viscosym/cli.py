@@ -230,7 +230,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
         "reduced_residual": to_text(reduced.residual),
         "table4_row": None,
         "diff_terms": [],
-        "verify": {"max_discrepancy": report.max_discrepancy, "seed": report.seed},
+        "verify": {k: getattr(report, k) for k in ("max_discrepancy", "seed", "tol", "passed")},
     }
     exit_code = 0
     if row_index is not None:

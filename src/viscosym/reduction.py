@@ -18,6 +18,8 @@ x^2 + y^2 = xi; folding y^2 -> xi - x^2 removes them.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +66,7 @@ class SimilarityChart:
 
     Construction checks V(xi) = V(eta) = 0 symbolically, with the sums in
     their denominators cleared, and that the map (x, y, t) -> (xi, eta) has
-    rank 2 at five sampled points.
+    rank 2 at five sampled points, where the Jacobian's sigma_2 exceeds 1e-9.
     """
 
     generator: Generator
@@ -84,18 +86,16 @@ class SimilarityChart:
         object.__setattr__(self, "f_subst", unknown(G_FN, (), (self.xi, self.eta)))
 
     def _check_rank(self, seed: int = 7, points: int = 5):
-        import numpy as np  # on first use: most subcommands never need it
         entries = [diff_atom(inv, v) for inv in (self.xi, self.eta) for v in (x, y, t)]
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         # positive box: keeps clear of the rotation-chart axis and branch cut
-        samples = [rng.uniform(0.5, 2.0, size=3).tolist() for _ in range(points)]
+        samples = [[rng.uniform(0.5, 2.0) for _ in "xyt"] for _ in range(points)]
         failed: dict[int, EvalError] = {}
         values = eval_batch(entries, dict(zip((x, y, t), zip(*samples))), errors=failed)
         for k in range(points):
             if k in failed:
                 raise failed[k]
-            jac = np.array([column[k] for column in values]).reshape(2, 3)
-            if np.linalg.svd(jac, compute_uv=False)[1] <= 1e-9:
+            if _second_singular_value([column[k] for column in values]) <= 1e-9:
                 raise ExprError("the invariant map does not have rank 2")
 
     def point(self, px: float, py: float, pt: float) -> tuple[float, float]:
@@ -103,10 +103,19 @@ class SimilarityChart:
         return xi[0], eta[0]
 
 
+def _second_singular_value(jac: list[float]) -> float:
+    """sigma_2 of the 2x3 matrix J with rows jac[:3] and jac[3:], scaled by its
+    largest entry so no square leaves the range: sigma_2^2 = det(J J^T) /
+    lambda_max(J J^T), and det(J J^T) is the sum of the squared 2x2 minors."""
+    scale = max(map(abs, jac)) or 1.0
+    (a0, a1, a2), (b0, b1, b2) = [v / scale for v in jac[:3]], [v / scale for v in jac[3:]]
+    p, q, r = a0 * a0 + a1 * a1 + a2 * a2, a0 * b0 + a1 * b1 + a2 * b2, b0 * b0 + b1 * b1 + b2 * b2
+    root_det = math.hypot(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1)
+    return scale * root_det / math.sqrt((p + r) / 2 + math.hypot((p - r) / 2, q)) if p + r else 0.0
+
+
 def _constant_of(e: Expr) -> Fraction | None:
-    if isinstance(e, Num):
-        return e.value
-    return None
+    return e.value if isinstance(e, Num) else None
 
 
 def characteristic_invariants(v: Generator) -> SimilarityChart:
@@ -193,11 +202,7 @@ class ReducedPDE:
 
 
 def _is_base_atom(atom: Expr) -> bool:
-    if isinstance(atom, Sym):
-        return atom in (x, y, t, u, f)
-    if isinstance(atom, Jet):
-        return atom.base in (u, f)
-    return False
+    return atom in (x, y, t, u, f) or (isinstance(atom, Jet) and atom.base in (u, f))
 
 
 def reduce_pde(pde: PDEInstance, chart: SimilarityChart) -> ReducedPDE:
@@ -264,16 +269,16 @@ class ReductionReport:
 _EXPONENTS = tuple((i, j) for i in range(5) for j in range(5 - i))
 
 
-def _random_coefficients(rng) -> list[Fraction]:
+def _random_coefficients(rng: random.Random) -> list[int]:
     """Coefficients over _EXPONENTS of a random bivariate polynomial: one
-    integer in [-3, 3] per monomial, plus 1 on the constant to keep it
+    ``randint(-3, 3)`` per monomial, plus 1 on the constant to keep it
     nonzero."""
-    coeffs = [Fraction(int(rng.integers(-3, 4))) for _ in _EXPONENTS]
+    coeffs = [rng.randint(-3, 3) for _ in _EXPONENTS]
     coeffs[_EXPONENTS.index((0, 0))] += 1
     return coeffs
 
 
-def _combine(coeffs: list[Fraction], images: list[Expr]) -> list[Expr]:
+def _combine(coeffs: list[int], images: list[Expr]) -> list[Expr]:
     return [mul(Num(c), image) for c, image in zip(coeffs, images) if c]
 
 
@@ -294,11 +299,11 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
     base = compose(0, 0), U_k = compose(M_k, 0) - base and
     F_k = compose(0, M_k) - base.  For h = sum c_k M_k and g = sum d_k M_k
     the original residual is then base + sum c_k U_k + sum d_k F_k, the same
-    canonical tree as composing h and g directly.  The random integers and
-    sample points are drawn in the same order as by composing each function,
-    so a seed gives the same functions, points and discrepancy.  The
-    candidate side is bound function by function, since a candidate need not
-    be linear.
+    canonical tree as composing h and g directly.  ``random.Random(seed)``
+    draws, per function, 15 ``randint(-3, 3)`` for h, 15 for g, then per point
+    ``uniform(0.6, 2.0)`` for x, y, t and ``uniform(0.5, 2.0)`` for a, b, so a
+    seed gives the same functions, points and discrepancy.  The candidate
+    side is bound function by function, since a candidate need not be linear.
     """
     candidate = reduced.residual if isinstance(reduced, ReducedPDE) else reduced
     monomials = [mul(pow_(XI, i), pow_(ETA, j)) for i, j in _EXPONENTS]
@@ -308,8 +313,7 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
         pulled = substitute_functions(chart.u_subst, {H_FN: mono})
         u_images.append(sub(pde.compose(pulled, ZERO), base))
         f_images.append(sub(pde.compose(ZERO, pulled), base))
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_functions):
         hcoeffs = _random_coefficients(rng)
@@ -320,8 +324,8 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
 
         reduced_expr = bind_jets(candidate, {H_DEP: hbody, G_DEP: gbody})
 
-        points = [(rng.uniform(0.6, 2.0, size=3).tolist(),
-                   rng.uniform(0.5, 2.0, size=2).tolist()) for _ in range(n_points)]
+        points = [([rng.uniform(0.6, 2.0) for _ in "xyt"], [rng.uniform(0.5, 2.0) for _ in "ab"])
+                  for _ in range(n_points)]
         base_columns = dict(zip((x, y, t), zip(*(xyz for xyz, _ in points))))
         params = dict(zip((A_SYM, B_SYM), zip(*(ab for _, ab in points))))
         # per point the original side, then the chart, then the candidate

@@ -1,16 +1,18 @@
 """Similarity charts, chain-rule reduction and the published-table audit."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from viscosym.expr import (Add, ExprError, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
                            bind_jets, diff_atom, eval_numeric, mul, numerator, pow_, sub,
                            substitute, substitute_functions, to_text,
                            total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
-                                SimilarityChart,
+                                SimilarityChart, _second_singular_value,
                                 UnsupportedGeneratorError,
                                 audit_reduction_table,
                                 characteristic_invariants,
@@ -103,6 +105,46 @@ class TestCharts:
         with pytest.raises(Exception, match="rank"):
             SimilarityChart(parse_basis_combination("X3"), x, mul(Num(Fraction(2)), x),
                             "linear")
+
+
+UNIT = st.floats(-1.0, 1.0)
+DECADE = st.floats(-12.0, 3.0)
+
+
+class TestRankGate:
+    """The closed-form sigma_2 of the chart rank gate against numpy's SVD:
+    the same "sigma_2 <= 1e-9 rejects" verdict wherever the SVD's sigma_2 is
+    more than 10x away from 1e-9, and the same value to 1e-12 * sigma_1."""
+
+    @staticmethod
+    def check(jac):
+        sigma1, sigma2 = np.linalg.svd(np.reshape(jac, (2, 3)), compute_uv=False)
+        got = _second_singular_value(jac)
+        assert abs(got - sigma2) <= 1e-12 * sigma1
+        if not 1e-10 <= sigma2 <= 1e-8:
+            assert (got <= 1e-9) == (sigma2 <= 1e-9)
+
+    @given(st.lists(UNIT, min_size=6, max_size=6), DECADE)
+    def test_random_matrices(self, entries, decade):
+        self.check([10.0 ** decade * e for e in entries])
+
+    @given(st.lists(UNIT, min_size=2, max_size=2), st.lists(UNIT, min_size=3, max_size=3),
+           DECADE)
+    def test_rank_one_products(self, col, row, decade):
+        # rank 1 exactly, so only rounding separates sigma_2 from 0
+        self.check([10.0 ** decade * c * r for c in col for r in row])
+
+    def test_fixed_cases(self):
+        for jac in ([0.0] * 6, [1, 0, 0, 0, 1, 0], [1, 2, 3, 2, 4, 6],
+                    [1e200, 0, 0, 0, 1e200, 0], [1e-300, 0, 0, 0, 0, 0]):
+            self.check([float(v) for v in jac])
+
+    def test_chart_gate_is_at_1e_9(self):
+        # xi = x, eta = x + c*y has sigma_2 = c/sqrt(2) + O(c^2) everywhere
+        gen = parse_basis_combination("X3")
+        SimilarityChart(gen, x, BASE.parse("x + 10^-8*y"), "linear")
+        with pytest.raises(ExprError, match="rank 2"):
+            SimilarityChart(gen, x, BASE.parse("x + 10^-10*y"), "linear")
 
 
 GOLDEN_REDUCTIONS = {
@@ -278,13 +320,13 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
         parts = []
         for i in range(5):
             for j in range(5 - i):
-                coeff = int(rng.integers(-3, 4))
+                coeff = rng.randint(-3, 3)
                 if coeff:
                     parts.append(mul(Num(Fraction(coeff)), pow_(xi, i), pow_(eta, j)))
         parts.append(Num(Fraction(1)))
         return add(*parts)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_functions):
         hbody = random_body(rng)
@@ -293,8 +335,8 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
                                substitute_functions(chart.f_subst, {G_FN: gbody}))
         reduced_expr = reference_bind_reduced(candidate, hbody, gbody)
         for _ in range(n_points):
-            px, py, pt = rng.uniform(0.6, 2.0, size=3)
-            pa, pb = rng.uniform(0.5, 2.0, size=2)
+            px, py, pt = (rng.uniform(0.6, 2.0) for _ in range(3))
+            pa, pb = (rng.uniform(0.5, 2.0) for _ in range(2))
             lhs = eval_numeric(original, {x: px, y: py, t: pt, a: pa, b: pb})
             cxi, ceta = chart.point(px, py, pt)
             rhs = eval_numeric(reduced_expr, {xi: cxi, eta: ceta, a: pa, b: pb})
