@@ -218,8 +218,13 @@ def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tupl
     """Apply the left-to-right product of Ad matrices M_{t1}(s1) M_{t2}(s2)...
     to a coefficient vector (so the last letter acts on v first)."""
     matrices = adjoint_matrices()
+    dim = len(matrices)
     vec = [float(comp) for comp in v]
+    if len(vec) != dim:
+        raise ExprError(f"coefficient vectors have {dim} components, got {len(vec)}")
     for t, value in reversed(list(word)):
+        if not 1 <= t <= dim:
+            raise ExprError(f"basis index {t} out of range 1..{dim}")
         m = matrices[t - 1].at(float(value))
         vec = [sum(m[i][j] * vec[j] for j in range(len(vec))) for i in range(len(m))]
     return tuple(vec)

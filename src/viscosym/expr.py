@@ -38,6 +38,9 @@ a tree through the canonical constructors with a per-node replacement hook
 (substitution, canonicalization and chart rewrites are all hooks),
 ``term_map`` gives a sum's monomials with their rational coefficients, and
 ``bind_jets`` composes an equation with concrete dependents and their jets.
+Every walk descends through one child enumeration, ``_children``, and visits
+each distinct node once per call, so a hook must be a pure function of the
+node; the derivatives and ``atoms`` do the same.
 Canonical form never divides one sum by another, so
 x^2/(x^2 + y^2) + y^2/(x^2 + y^2) stays two terms; ``numerator`` clears the
 sums under negative powers, which turns a zero test of such a quotient
@@ -212,9 +215,6 @@ class Expr:
     def __str__(self) -> str:
         return to_text(self)
 
-    def is_zero(self) -> bool:
-        return self is ZERO
-
 
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
@@ -316,8 +316,8 @@ class UnknownFn:
 
     def __call__(self, *args: Expr) -> Expr:
         if args:
-            return unknown(self, (), tuple(_coerce(a) for a in args))
-        return unknown(self, (), tuple(self.slots))
+            return Unknown(self, (), tuple(_coerce(a) for a in args))
+        return Unknown(self, (), tuple(self.slots))
 
 
 @_node
@@ -341,10 +341,6 @@ class Unknown(Expr):
         if any(not (0 <= d < self.fn.arity) for d in self.derivs):
             raise ExprError(f"derivative slot out of range for {self.fn.name}")
         return (3, self.fn.name, len(self.derivs), self.derivs, tuple(map(_key, self.args)))
-
-
-def unknown(fn: UnknownFn, derivs: Sequence[int], args: Sequence[Expr]) -> Unknown:
-    return Unknown(fn, tuple(derivs), tuple(args))
 
 
 @_node
@@ -746,32 +742,36 @@ def rebuild(e: Expr, fn: Callable[[Expr], Expr | None],
             descend_unknown_args: bool = True) -> Expr:
     """Rebuild e bottom-up through the canonical constructors.
 
-    ``fn`` sees every non-Num node before its children.  When it returns an
-    expression, that replaces the node as is; when it returns None, the
-    node's children are rebuilt.  Opaque-function arguments are kept as they
-    are when ``descend_unknown_args`` is false.
+    ``fn`` sees every distinct non-Num node once, before its children, and
+    must be a pure function of the node: a node shared by several parents
+    is rebuilt once per call.  When ``fn`` returns an expression, that
+    replaces the node as is; when it returns None, the node's children are
+    rebuilt.  Opaque-function arguments are kept as they are when
+    ``descend_unknown_args`` is false.
     """
+    done: dict[Expr, Expr] = {}     # no node is falsy, so a miss alone gives None
+
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Num):
-            return node
-        repl = fn(node)
-        if repl is not None:
-            return repl
-        if isinstance(node, (Sym, Jet)):
-            return node
-        if isinstance(node, Unknown):
-            if not descend_unknown_args:
-                return node
-            return unknown(node.fn, node.derivs, tuple(walk(a) for a in node.args))
-        if isinstance(node, Func):
-            return func(node.fn, *[walk(a) for a in node.args])
-        if isinstance(node, Pow):
-            return pow_(walk(node.base), node.exp)
-        if isinstance(node, Mul):
-            return mul(Num(node.coeff), *[walk(f) for f in node.factors])
-        if isinstance(node, Add):
-            return add(*[walk(t) for t in node.terms])
-        raise TypeError(f"not an Expr: {node!r}")
+        new = node if isinstance(node, Num) else fn(node)
+        if new is None:
+            if isinstance(node, Unknown) and not descend_unknown_args:
+                new = node
+            else:
+                kids = [done.get(c) or walk(c) for c in _children(node)]
+                if isinstance(node, Add):
+                    new = add(*kids)
+                elif isinstance(node, Mul):
+                    new = mul(Num(node.coeff), *kids)
+                elif isinstance(node, Pow):
+                    new = pow_(kids[0], node.exp)
+                elif isinstance(node, Func):
+                    new = func(node.fn, *kids)
+                elif isinstance(node, Unknown):
+                    new = Unknown(node.fn, node.derivs, tuple(kids))
+                else:
+                    new = node
+        done[node] = new
+        return new
 
     return walk(e)
 
@@ -780,31 +780,51 @@ def rebuild(e: Expr, fn: Callable[[Expr], Expr | None],
 # Traversal
 # ---------------------------------------------------------------------------
 
-def atoms(e: Expr) -> Iterator[Expr]:
-    """Yield every Sym, Jet and Unknown occurring in e (deduplicated)."""
-    seen: set[Expr] = set()
+def _children(node: Expr) -> tuple[Expr, ...]:
+    """A sum's terms, a product's factors, a power's base or a function
+    application's arguments; a Num, Sym or Jet has none."""
+    if isinstance(node, Add):
+        return node.terms
+    if isinstance(node, Mul):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Func, Unknown)):
+        return node.args
+    if isinstance(node, Expr):
+        return ()
+    raise TypeError(f"not an Expr: {node!r}")
 
-    def walk(node: Expr):
-        if isinstance(node, (Sym, Jet, Unknown)):
+
+def _dfs(roots: Iterable[Expr], into_unknown: bool = True) -> Iterator[tuple[Expr, bool]]:
+    """Depth first over ``_children``: each distinct node below the roots as
+    (node, False) when first reached and as (node, True) once all its
+    children are; an opaque application's arguments only if ``into_unknown``."""
+    seen: set[Expr] = set()
+    stack = [(None, iter(roots))]
+    while stack:
+        parent, rest = stack[-1]
+        for node in rest:
             if node not in seen:
                 seen.add(node)
-                yield node
-            if isinstance(node, Unknown):
-                for arg in node.args:
-                    yield from walk(arg)
-        elif isinstance(node, Func):
-            for arg in node.args:
-                yield from walk(arg)
-        elif isinstance(node, Pow):
-            yield from walk(node.base)
-        elif isinstance(node, Mul):
-            for fac in node.factors:
-                yield from walk(fac)
-        elif isinstance(node, Add):
-            for term in node.terms:
-                yield from walk(term)
+                yield node, False
+                kids = _children(node) if into_unknown or not isinstance(node, Unknown) else ()
+                if kids:
+                    stack.append((node, iter(kids)))
+                    break
+                yield node, True
+        else:
+            stack.pop()
+            if stack:
+                yield parent, True
 
-    yield from walk(e)
+
+def atoms(e: Expr) -> Iterator[Expr]:
+    """Yield every Sym, Jet and Unknown occurring in e, once each, in order
+    of first occurrence."""
+    for node, finished in _dfs((e,)):
+        if not finished and isinstance(node, (Sym, Jet, Unknown)):
+            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -830,40 +850,37 @@ def _func_derivative(e: Func, dargs: list[Expr]) -> Expr:
 
 def _derive(e: Expr, datom: Callable[[Expr], Expr]) -> Expr:
     """Generic derivation: ``datom`` gives the derivative of Sym/Jet; opaque
-    functions follow the chain rule through their argument slots."""
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, (Sym, Jet)):
-        return datom(e)
-    if isinstance(e, Unknown):
-        parts = []
-        for i, arg in enumerate(e.args):
-            darg = _derive(arg, datom)
-            if darg != ZERO:
-                parts.append(mul(unknown(e.fn, e.derivs + (i,), e.args), darg))
-        return add(*parts) if parts else ZERO
-    if isinstance(e, Func):
-        dargs = [_derive(a, datom) for a in e.args]
-        if all(d == ZERO for d in dargs):
-            return ZERO
-        return _func_derivative(e, dargs)
-    if isinstance(e, Pow):
-        db = _derive(e.base, datom)
-        if db == ZERO:
-            return ZERO
-        return mul(Num(e.exp), pow_(e.base, e.exp - 1), db)
-    if isinstance(e, Mul):
-        parts = []
-        for i, fac in enumerate(e.factors):
-            dfac = _derive(fac, datom)
-            if dfac == ZERO:
-                continue
-            rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(Num(e.coeff), _from_term(1, rest) if rest else ONE, dfac))
-        return add(*parts) if parts else ZERO
-    if isinstance(e, Add):
-        return add(*[_derive(t, datom) for t in e.terms])
-    raise TypeError(f"not an Expr: {e!r}")
+    functions follow the chain rule through their argument slots.  Each
+    distinct node is derived once per call."""
+    done: dict[Expr, Expr] = {}
+
+    def derive(node: Expr) -> Expr:
+        if isinstance(node, (Sym, Jet)):
+            out = datom(node)
+        else:
+            ds = [done.get(c) or derive(c) for c in _children(node)]
+            if ds.count(ZERO) == len(ds):       # a Num, or no child varies
+                out = ZERO
+            elif isinstance(node, Add):
+                out = add(*ds)
+            elif isinstance(node, Mul):
+                parts = []
+                for i, dfac in enumerate(ds):
+                    if dfac is not ZERO:
+                        rest = node.factors[:i] + node.factors[i + 1:]
+                        parts.append(mul(Num(node.coeff), _from_term(1, rest), dfac))
+                out = add(*parts)
+            elif isinstance(node, Pow):
+                out = mul(Num(node.exp), pow_(node.base, node.exp - 1), ds[0])
+            elif isinstance(node, Func):
+                out = _func_derivative(node, ds)
+            else:
+                out = add(*[mul(Unknown(node.fn, node.derivs + (i,), node.args), darg)
+                            for i, darg in enumerate(ds) if darg is not ZERO])
+        done[node] = out
+        return out
+
+    return derive(e)
 
 
 def diff_atom(e: Expr, atom: Expr) -> Expr:
@@ -982,38 +999,10 @@ _NAN = float("nan")
 _OVERFLOW = "numeric overflow: a value exceeds the double range"
 
 
-def _operands(node: Expr) -> tuple[Expr, ...]:
-    """What the walker evaluates before a node; an opaque application fails
-    before its arguments, so it has none."""
-    if isinstance(node, Add):
-        return node.terms
-    if isinstance(node, Mul):
-        return node.factors
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Func):
-        return node.args
-    if isinstance(node, Expr):
-        return ()
-    raise TypeError(f"not an Expr: {node!r}")
-
-
 def _eval_order(roots: Sequence[Expr]) -> list[Expr]:
-    """The distinct nodes below the roots, each after its operands."""
-    order: list[Expr] = []
-    seen: set[Expr] = set()
-
-    def visit(node: Expr) -> None:
-        seen.add(node)
-        for operand in _operands(node):
-            if operand not in seen:
-                visit(operand)
-        order.append(node)
-
-    for root in roots:
-        if root not in seen:
-            visit(root)
-    return order
+    """The distinct nodes below the roots, each after its operands; an
+    opaque application fails before its arguments, so it has none."""
+    return [node for node, finished in _dfs(roots, into_unknown=False) if finished]
 
 
 def _as_eval_error(exc: Exception) -> EvalError:
@@ -1072,7 +1061,7 @@ def _eval_block(order: list[Expr], columns: Mapping[Expr, list[float]],
     vals: dict[Expr, list[float]] = {}
     failures: dict[Expr, dict[int, EvalError]] = {}
     for node in order:
-        operands = _operands(node)
+        operands = () if isinstance(node, Unknown) else _children(node)
         try:
             if not operands:
                 values, failed = _leaf(node, columns, size), {}

@@ -13,7 +13,7 @@ from typing import Sequence
 from .expr import Expr, Num, ZERO, add, mul, sub
 
 __all__ = [
-    "solve_exact", "mat_mul_rat", "mat_is_zero",
+    "ExprMat", "solve_exact", "mat_mul_rat", "mat_is_zero",
     "expr_matrix", "mat_mul_expr", "identity_expr", "det_expr",
 ]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (ELEMENTARY_FUNCTIONS, Expr, ExprError, Jet, Kind, Num,
-                   UnknownFn, add, div, func, mul, neg, pow_, unknown)
+                   Unknown, UnknownFn, add, div, func, mul, neg, pow_)
 from .spaces import VarSpace
 
 __all__ = ["parse", "ParseError", "UnknownIdentifierError"]
@@ -236,7 +236,7 @@ class _Parser:
             if len(args) != decl.arity:
                 raise ParseError(f"{name} expects {decl.arity} argument(s), got {len(args)}",
                                  tok.pos)
-            return unknown(decl, tuple(derivs), tuple(args))
+            return Unknown(decl, derivs, tuple(args))
 
         if follows_call:
             raise ParseError(f"{name!r} is a variable, not a function", tok.pos)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
                    UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
                    eval_batch, func, mul, neg, numerator, pow_, rebuild, sub,
-                   substitute, substitute_functions, to_text, unknown)
+                   substitute, substitute_functions, to_text)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
@@ -37,7 +37,8 @@ __all__ = [
     "SimilarityChart", "ReducedPDE", "ReductionReport",
     "UnsupportedGeneratorError", "ReductionError",
     "characteristic_invariants", "reduce_pde", "verify_reduction",
-    "published_reduction_rows", "audit_reduction_table", "ReductionAuditRow",
+    "published_reduction_rows", "published_similarity_rows", "audit_reduction_table",
+    "ReductionAuditRow",
 ]
 
 _CATALOG = ("constant-coefficient combinations c1*X1 + c2*X2 + c3*X3 (not all "
@@ -82,8 +83,8 @@ class SimilarityChart:
             if numerator(applied) is not ZERO:
                 raise ExprError(f"{name} is not invariant: V({name}) = {to_text(applied)}")
         self._check_rank()
-        object.__setattr__(self, "u_subst", unknown(H_FN, (), (self.xi, self.eta)))
-        object.__setattr__(self, "f_subst", unknown(G_FN, (), (self.xi, self.eta)))
+        object.__setattr__(self, "u_subst", Unknown(H_FN, (), (self.xi, self.eta)))
+        object.__setattr__(self, "f_subst", Unknown(G_FN, (), (self.xi, self.eta)))
 
     def _check_rank(self, seed: int = 7, points: int = 5):
         entries = [diff_atom(inv, v) for inv in (self.xi, self.eta) for v in (x, y, t)]

@@ -25,7 +25,7 @@ __all__ = [
     "function_shift_generator", "viscoelastic_pde",
     "bracket", "commutator_table", "prolong", "invariance_residual",
     "verify_symmetry", "general_ansatz", "symmetry_family_bodies",
-    "determining_equations", "combo_text",
+    "determining_equations", "combo_text", "monomial_text",
 ]
 
 _COORDS = (x, y, t, u, f)

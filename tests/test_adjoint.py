@@ -213,6 +213,17 @@ class TestApplyAdjoint:
         with pytest.raises(Exception, match="finite"):
             apply_adjoint([(1, math.inf)], (1, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("t", [0, -4, 6])
+    def test_basis_index_out_of_range(self, t):
+        # an index <= 0 must not wrap around to the end of the basis
+        with pytest.raises(ExprError, match=f"basis index {t} out of range 1..5"):
+            apply_adjoint([(1, 0.5), (t, 0.5)], (1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("v", [(1, 2, 3), (1, 2, 3, 4, 5, 6), ()])
+    def test_vector_length_must_be_dim(self, v):
+        with pytest.raises(ExprError, match="5 components"):
+            apply_adjoint([], v)
+
 
 class TestNormalize:
     def test_rotation_class_representative(self):

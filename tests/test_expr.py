@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
                            Num, Pow, SubstitutionCycleError,
                            UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
-                           canonicalize, diff_atom, equals, eval_numeric,
-                           join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
+                           _derive, atoms, canonicalize, diff_atom, equals, eval_numeric,
+                           func, join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
                            signed_term, sub, substitute,
                            substitute_functions, term_map, to_text,
                            total_derivative)
@@ -301,6 +301,38 @@ class TestSubstitution:
         e = sp.parse("F_xt")
         body = sp.parse("x^2*t + y")
         assert substitute_functions(e, {fn: body}) == sp.parse("2*x")
+
+
+def _tower(k, base=x):
+    """e_0 = base, e_j = atan2(e_(j-1), e_(j-1)): k + 1 distinct nodes, but
+    2^k paths from the top to base."""
+    e = base
+    for _ in range(k):
+        e = func("atan2", e, e)
+    return e
+
+
+class TestSharedSubtrees:
+    """Every walk visits each distinct node once per call, however many
+    paths lead to it."""
+
+    def test_rebuild_hook_sees_each_distinct_node_once(self):
+        e = _tower(14)
+        seen = []
+        assert rebuild(e, seen.append) is e
+        assert seen[0] is e and len(seen) == 15 and len(set(seen)) == 15
+
+    def test_datom_called_once(self):
+        calls = []
+        _derive(_tower(14), lambda node: calls.append(node) or ONE)
+        assert calls == [x]
+
+    def test_deep_tower_walks_return_at_once(self):
+        e = _tower(60)
+        assert list(atoms(e)) == [x]
+        assert substitute(e, {x: y}) is _tower(60, y)
+        assert diff_atom(e, x) == ZERO      # atan2(p, p) is constant in p
+        assert eval_numeric(e, {x: 1.0}) == pytest.approx(math.pi / 4)
 
 
 class TestEvaluation:

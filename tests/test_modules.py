@@ -38,6 +38,24 @@ def test_no_private_names_from_siblings(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_names_from_siblings_are_exported(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and _sibling_import(node)]
+    taken = [(node.module.split(".")[-1], alias.name) for node in imports
+             if node.module not in (None, "viscosym") for alias in node.names]
+    # names bound to sibling modules by "from . import expr as e"
+    siblings = {alias.asname or alias.name: alias.name for node in imports
+                if node.module in (None, "viscosym") for alias in node.names}
+    taken += [(siblings[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings]
+    exported = {name: set(importlib.import_module(f"viscosym.{name}").__all__)
+                for name, _ in taken}
+    assert sorted(f"{mod}.{name}" for mod, name in taken if name not in exported[mod]) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_exported_names_exist(module):
     name = "viscosym" if module == "__init__" else f"viscosym.{module}"
     mod = importlib.import_module(name)
