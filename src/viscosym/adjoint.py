@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add,
+from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add, checked,
                    eval_batch, func, mul, pow_, sub, substitute)
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
                      mat_mul_expr, mat_mul_rat, mat_is_zero)
@@ -36,8 +35,8 @@ class AdjointSeriesError(ExprError):
     """The adjoint series neither terminates nor matches the rotation pattern."""
 
 
-@dataclass(frozen=True)
-class AdjointMatrix:
+@checked
+class AdjointMatrix(NamedTuple):
     """Matrix of Ad(exp(s*X_t)) on coefficient vectors in the basis X1..X5.
 
     Entries are exact expressions in the group parameter s.  Construction
@@ -49,7 +48,7 @@ class AdjointMatrix:
     entries: ExprMat
     labels: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.labels)
         at_zero = [[substitute(e, {S_PARAM: ZERO}) for e in row] for row in self.entries]
         if expr_matrix(at_zero) != identity_expr(n):
@@ -113,12 +112,18 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
         "A^3 = -w^2 A with rational w (sin/cos exp)")
 
 
+def _check_index(t: int, dim: int) -> None:
+    if not isinstance(t, int) or isinstance(t, bool):      # True is no basis index
+        raise ExprError(f"basis index must be an int, got {t!r}")
+    if not 1 <= t <= dim:
+        raise ExprError(f"basis index {t} out of range 1..{dim}")
+
+
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
     """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t)."""
     if constants is None:
         constants = commutator_table()
-    if not 1 <= t <= constants.dim:
-        raise ExprError(f"basis index {t} out of range 1..{constants.dim}")
+    _check_index(t, constants.dim)
     neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
     entries = _exp_series(neg_ad, S_PARAM)
     return AdjointMatrix(t, entries, constants.labels)
@@ -158,8 +163,7 @@ def _published_cells() -> dict[tuple[int, int], tuple[Expr, ...]]:
 PUBLISHED_ADJOINT_TABLE = _published_cells()
 
 
-@dataclass(frozen=True)
-class AdjointAuditCell:
+class AdjointAuditCell(NamedTuple):
     t: int
     r: int
     expected_from_series: str
@@ -193,8 +197,7 @@ def audit_adjoint_table(constants: StructureConstants | None = None) -> list[Adj
 # Optimal system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimalClass:
+class OptimalClass(NamedTuple):
     """A representative from the optimal system of one-dimensional
     subalgebras: (1) X1 + c1 X3 + c2 X5, (2) X2 + c1 X3 + c2 X5,
     (3) X4 + c1 X3 + c2 X5, (4) X3 + c1 X5, and the subcase (4b) X5 alone,
@@ -207,8 +210,7 @@ class OptimalClass:
     representative: tuple[float, float, float, float, float]
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     cls: OptimalClass
     word: tuple[tuple[int, float], ...]
     scale: float
@@ -223,8 +225,7 @@ def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tupl
     if len(vec) != dim:
         raise ExprError(f"coefficient vectors have {dim} components, got {len(vec)}")
     for t, value in reversed(list(word)):
-        if not 1 <= t <= dim:
-            raise ExprError(f"basis index {t} out of range 1..{dim}")
+        _check_index(t, dim)
         m = matrices[t - 1].at(float(value))
         vec = [sum(m[i][j] * vec[j] for j in range(len(vec))) for i in range(len(m))]
     return tuple(vec)

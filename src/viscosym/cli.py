@@ -20,10 +20,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import adjoint, flows, reduction, vector_fields as vf
 from .expr import (ExprError, Num, ZERO, substitute, substitute_functions,
@@ -39,12 +40,11 @@ PUBLISHED_DETERMINING_COUNT = 227
 _GENERATOR_KEYS = ("xi1", "xi2", "xi3", "phi1", "phi2")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     fmt: str = "json"
     seed: int = 42
     tol: float | None = None
-    params: dict = field(default_factory=dict)     # a, b -> their --param-* values
+    params: Mapping = MappingProxyType({})     # a, b -> their --param-* values
 
 
 def _render(payload: dict, config: RunConfig, table: tuple | None = None,

@@ -68,16 +68,16 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "ExprError", "JetOrderError", "SubstitutionCycleError", "EvalError",
@@ -85,7 +85,7 @@ __all__ = [
     "Kind", "Expr", "Num", "Sym", "Jet", "Func", "UnknownFn", "Unknown",
     "Pow", "Mul", "Add",
     "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS",
-    "add", "mul", "pow_", "func", "neg", "sub", "div", "rational",
+    "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
     "substitute_functions", "bind_jets",
@@ -142,6 +142,22 @@ def rational(value: Rat) -> Rat:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def checked(cls: type) -> type:
+    """Class decorator for a NamedTuple: every instance that its constructor
+    or ``_replace`` builds has passed the class's ``_check`` method."""
+    make = cls.__new__
+
+    @functools.wraps(make)
+    def __new__(klass, *args, **kwargs):
+        self = make(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, fields: klass(*fields))
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Node types
 # ---------------------------------------------------------------------------
@@ -184,6 +200,15 @@ class Expr:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
     def __add__(self, other):
         return add(self, _coerce(other))
 
@@ -225,13 +250,12 @@ def _coerce(value) -> Expr:
 
 
 _key = attrgetter("_order")
-# frozen, slotted and with the dataclass repr; Expr builds, compares, hashes
-_node = dataclass(frozen=True, slots=True, eq=False, init=False)
+# Each node class lists its fields in ``__slots__``, from which Expr builds,
+# pickles and prints a node; interned nodes compare and hash by identity.
 
 
-@_node
 class Num(Expr):
-    value: Rat
+    __slots__ = ("value",)
 
     def __new__(cls, value: Rat):
         return Expr.__new__(cls, rational(value))
@@ -240,14 +264,11 @@ class Num(Expr):
         return (0, self.value)
 
 
-@_node
 class Sym(Expr):
     """A named symbol.  ``pos`` fixes the ordering among peers of a kind
     (e.g. x < y < t for jet-index sorting)."""
 
-    name: str
-    kind: Kind
-    pos: int
+    __slots__ = ("name", "kind", "pos")
 
     def __new__(cls, name: str, kind: Kind, pos: int = 0):
         return Expr.__new__(cls, name, kind, pos)
@@ -256,13 +277,11 @@ class Sym(Expr):
         return (1, _KIND_RANK[self.kind], self.pos, self.name)
 
 
-@_node
 class Jet(Expr):
     """Formal derivative u_J of a dependent symbol, J a sorted multiset of
     independent variables.  Order is capped at JET_ORDER_CAP."""
 
-    base: Sym
-    indices: tuple[Sym, ...]
+    __slots__ = ("base", "indices")
 
     def __new__(cls, base: Sym, indices: Sequence[Sym]):
         return Expr.__new__(cls, base, tuple(sorted(indices, key=_key)))
@@ -286,12 +305,10 @@ class Jet(Expr):
         return len(self.indices)
 
 
-@_node
 class Func(Expr):
     """Elementary function application."""
 
-    fn: str
-    args: tuple[Expr, ...]
+    __slots__ = ("fn", "args")
 
     def _sort_key(self):
         arity = ELEMENTARY_FUNCTIONS.get(self.fn)
@@ -302,8 +319,7 @@ class Func(Expr):
         return (4, self.fn, tuple(map(_key, self.args)))
 
 
-@dataclass(frozen=True)
-class UnknownFn:
+class UnknownFn(NamedTuple):
     """Identity of an opaque function; ``slots`` are the symbols naming its
     argument positions (used for derivative subscripts and bare mentions)."""
 
@@ -320,7 +336,6 @@ class UnknownFn:
         return Unknown(self, (), tuple(self.slots))
 
 
-@_node
 class Unknown(Expr):
     """Application of an opaque function, possibly formally differentiated.
 
@@ -328,9 +343,7 @@ class Unknown(Expr):
     slots (x, y, t), derivs (0, 0, 2) denotes d^3 F / dx^2 dt applied to args.
     """
 
-    fn: UnknownFn
-    derivs: tuple[int, ...]
-    args: tuple[Expr, ...]
+    __slots__ = ("fn", "derivs", "args")
 
     def __new__(cls, fn: UnknownFn, derivs: Sequence[int], args: tuple[Expr, ...]):
         return Expr.__new__(cls, fn, tuple(sorted(derivs)), args)
@@ -343,12 +356,10 @@ class Unknown(Expr):
         return (3, self.fn.name, len(self.derivs), self.derivs, tuple(map(_key, self.args)))
 
 
-@_node
 class Pow(Expr):
     """base**exp with a literal rational exponent, exp not in {0, 1}."""
 
-    base: Expr
-    exp: Rat
+    __slots__ = ("base", "exp")
 
     def __new__(cls, base: Expr, exp: Rat):
         return Expr.__new__(cls, base, rational(exp))
@@ -357,12 +368,10 @@ class Pow(Expr):
         return (5, self.base._order, self.exp)
 
 
-@_node
 class Mul(Expr):
     """coeff * f1 * f2 * ...; factors sorted, bases pairwise distinct."""
 
-    coeff: Rat
-    factors: tuple[Expr, ...]
+    __slots__ = ("coeff", "factors")
 
     def __new__(cls, coeff: Rat, factors: tuple[Expr, ...]):
         return Expr.__new__(cls, rational(coeff), factors)
@@ -371,11 +380,10 @@ class Mul(Expr):
         return (6, tuple(map(_key, self.factors)), self.coeff)
 
 
-@_node
 class Add(Expr):
     """t1 + t2 + ...; at least two terms, sorted, monomials pairwise distinct."""
 
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
 
     def _sort_key(self):
         return (7, tuple(map(_key, self.terms)))

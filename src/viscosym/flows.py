@@ -10,11 +10,10 @@ flow lives on the base space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, diff_atom,
+from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, checked, diff_atom,
                    eval_batch, func, mul, rebuild, sub, substitute, to_text)
 from .spaces import eps as EPS
 from .spaces import t, x, y
@@ -34,8 +33,8 @@ class NonAffineError(ExprError):
     """Flow maps exist in closed form only for affine (x, y, t)-coefficients."""
 
 
-@dataclass(frozen=True)
-class FlowMap:
+@checked
+class FlowMap(NamedTuple):
     """Exact flow (x(eps), y(eps), t(eps)) of a generator; eps = 0 is the
     identity and composition adds parameters (checked at construction using
     the kernel's trig rewrites)."""
@@ -45,7 +44,7 @@ class FlowMap:
     y_eps: Expr
     t_eps: Expr
 
-    def __post_init__(self):
+    def _check(self):
         for coord, comp in zip((x, y, t), self.components):
             if substitute(comp, {EPS: ZERO}) != coord:
                 raise ExprError("flow is not the identity at eps = 0")

@@ -18,8 +18,8 @@ in the given VarSpace; numbers parse to exact rationals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import (ELEMENTARY_FUNCTIONS, Expr, ExprError, Jet, Kind, Num,
                    Unknown, UnknownFn, add, div, func, mul, neg, pow_)
@@ -48,8 +48,7 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str          # NUM | IDENT | OP | END
     text: str
     pos: int           # character position; inputs are ASCII so bytes match

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, Pow, Sym, Unknown,
-                   UnknownFn, ZERO, add, atoms, bind_jets, diff_atom,
+                   UnknownFn, ZERO, add, atoms, bind_jets, checked, diff_atom,
                    eval_batch, func, mul, neg, numerator, pow_, rebuild, sub,
                    substitute, substitute_functions, to_text)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
@@ -60,8 +60,8 @@ G_FN = UnknownFn("g", (XI, ETA))
 _RADIAL = add(pow_(x, 2), pow_(y, 2))
 
 
-@dataclass(frozen=True)
-class SimilarityChart:
+@checked
+class SimilarityChart(NamedTuple):
     """Invariant coordinates of a generator, with u = h(xi, eta) and
     f = g(xi, eta).
 
@@ -74,17 +74,21 @@ class SimilarityChart:
     xi: Expr
     eta: Expr
     kind: str                         # "linear" | "rotation"; a label only
-    u_subst: Expr = None              # type: ignore[assignment]
-    f_subst: Expr = None              # type: ignore[assignment]
 
-    def __post_init__(self):
+    def _check(self):
         for name, inv in (("xi", self.xi), ("eta", self.eta)):
             applied = self.generator.apply(inv)
             if numerator(applied) is not ZERO:
                 raise ExprError(f"{name} is not invariant: V({name}) = {to_text(applied)}")
         self._check_rank()
-        object.__setattr__(self, "u_subst", Unknown(H_FN, (), (self.xi, self.eta)))
-        object.__setattr__(self, "f_subst", Unknown(G_FN, (), (self.xi, self.eta)))
+
+    @property
+    def u_subst(self) -> Expr:
+        return Unknown(H_FN, (), (self.xi, self.eta))
+
+    @property
+    def f_subst(self) -> Expr:
+        return Unknown(G_FN, (), (self.xi, self.eta))
 
     def _check_rank(self, seed: int = 7, points: int = 5):
         entries = [diff_atom(inv, v) for inv in (self.xi, self.eta) for v in (x, y, t)]
@@ -186,15 +190,15 @@ def _invariant_linear_forms(ks: tuple[Fraction, Fraction, Fraction]) -> list[Exp
 # Chain-rule reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducedPDE:
+@checked
+class ReducedPDE(NamedTuple):
     """Reduced residual over (xi, eta): construction asserts that no base
     coordinate (x, y, t) or base unknown (u, f) survived the rewrite."""
 
     residual: Expr
     chart: SimilarityChart | None = None
 
-    def __post_init__(self):
+    def _check(self):
         leftovers = [to_text(atom) for atom in atoms(self.residual)
                      if _is_base_atom(atom)]
         if leftovers:
@@ -255,8 +259,7 @@ def _eliminate_square(e: Expr, var: Sym, replacement: Expr) -> Expr:
 # Numeric verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     max_discrepancy: float
     seed: int
     n_functions: int
@@ -379,8 +382,7 @@ def published_reduction_rows() -> tuple[tuple[str, Expr], ...]:
     return tuple((label, sp.parse(text)) for label, _, _, text in _PUBLISHED_ROWS)
 
 
-@dataclass(frozen=True)
-class ReductionAuditRow:
+class ReductionAuditRow(NamedTuple):
     row: int
     generator: str
     derived: Expr

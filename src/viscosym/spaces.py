@@ -9,7 +9,7 @@ s and eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .expr import Expr, Kind, Sym, UnknownFn
 
@@ -43,8 +43,7 @@ eps = Sym("eps", Kind.PARAMETER, 8)
 _PARAMETERS = (a, b, c1, c2, c3, c4, c5, s, eps)
 
 
-@dataclass(frozen=True)
-class VarSpace:
+class VarSpace(NamedTuple):
     """A symbol table: independent/dependent variables, parameters and any
     declared opaque functions.  The parser resolves identifiers against it."""
 
@@ -71,7 +70,7 @@ class VarSpace:
         clashes = [fn.name for fn in fns if self.lookup(fn.name) is not None]
         if clashes:
             raise ValueError(f"names already declared: {', '.join(clashes)}")
-        return replace(self, unknowns=self.unknowns + tuple(fns))
+        return self._replace(unknowns=self.unknowns + tuple(fns))
 
     def parse(self, text: str) -> Expr:
         from .parsing import parse

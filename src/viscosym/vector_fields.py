@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Num, Pow,
-                   Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets, diff_atom,
-                   join_signed, max_abs_sample, mul, neg, signed_term, sub,
-                   substitute, term_map, to_text, total_derivative)
+                   Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets, checked,
+                   diff_atom, join_signed, max_abs_sample, mul, neg, signed_term,
+                   sub, substitute, term_map, to_text, total_derivative)
 from .linalg import solve_exact
 from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
@@ -35,8 +34,8 @@ class NotClosedError(ExprError):
     """A bracket left the span of the proposed basis."""
 
 
-@dataclass(frozen=True)
-class Generator:
+@checked
+class Generator(NamedTuple):
     """A point vector field xi1*dx + xi2*dy + xi3*dt + phi1*du + phi2*df.
 
     Coefficients are expressions over (x, y, t, u, f); jet variables are
@@ -50,7 +49,7 @@ class Generator:
     phi2: Expr = ZERO
     label: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         for name, coeff in zip(("xi1", "xi2", "xi3", "phi1", "phi2"),
                                self.coefficients):
             for atom in atoms(coeff):
@@ -82,6 +81,10 @@ class Generator:
 
     def __rmul__(self, factor) -> "Generator":
         return self.scaled(factor)
+
+    def __mul__(self, other):
+        # a tuple would repeat itself; a generator is scaled from the left only
+        raise TypeError("a Generator is scaled from the left: factor * generator")
 
     def __neg__(self) -> "Generator":
         return self.scaled(-1)
@@ -147,29 +150,30 @@ def function_shift_generator(fn: UnknownFn | None = None,
 # The PDE
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PDEInstance:
-    """The equation residual Delta = u_tt - a*(u_xxt + u_yyt) - b*(u_xx + u_yy) - f,
-    stored together with the same equation solved for f.  Construction checks
+@checked
+class PDEInstance(NamedTuple):
+    """The equation residual Delta = u_tt - a*(u_xxt + u_yyt) - b*(u_xx + u_yy) - f;
+    ``solved_form`` is the same equation solved for f.  Construction checks
     that Delta is linear in f with coefficient -1 and linear in u and its
     jets, so ``compose`` is affine in (u_expr, f_expr)."""
 
     residual: Expr
-    solved_form: Expr = None  # type: ignore[assignment]
 
-    def __post_init__(self):
+    def _check(self):
         coeff = diff_atom(self.residual, f)
         if coeff != Num(Fraction(-1)):
             raise ExprError("residual must be linear in f with coefficient -1")
-        solved = add(self.residual, f)
-        if any(atom == f for atom in atoms(solved)):
+        if any(atom == f for atom in atoms(self.solved_form)):
             raise ExprError("residual must be linear in f with coefficient -1")
         u_atoms = {atom for atom in atoms(self.residual)
                    if atom == u or (isinstance(atom, Jet) and atom.base == u)}
         for atom in u_atoms:
             if any(other in u_atoms for other in atoms(diff_atom(self.residual, atom))):
                 raise ExprError("residual must be linear in u and its jets")
-        object.__setattr__(self, "solved_form", solved)
+
+    @property
+    def solved_form(self) -> Expr:
+        return add(self.residual, f)
 
     def compose(self, u_expr: Expr, f_expr: Expr) -> Expr:
         """The residual with u = u_expr and f = f_expr, each jet bound to
@@ -218,8 +222,8 @@ def express_in_span(target: Generator, basis: Sequence[Generator]) -> list[Fract
     return coeffs
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+@checked
+class StructureConstants(NamedTuple):
     """c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k (0-indexed storage).
 
     Antisymmetry and the Jacobi identity are checked at construction.
@@ -228,7 +232,7 @@ class StructureConstants:
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.labels)
         for i in range(n):
             for j in range(n):
@@ -247,12 +251,12 @@ class StructureConstants:
                         acc[l] = acc.get(l, 0) + v * w
             if any(acc.values()):
                 raise ExprError("structure constants violate the Jacobi identity")
-        # the tensor is a cache key: hash its n^3 Fractions once, not per
-        # lookup (equal tensors have equal c, so this agrees with ==)
-        object.__setattr__(self, "_hash", hash(self.c))
 
     def __hash__(self) -> int:
-        return self._hash
+        # a cache key: equal tensors have equal labels, and a lookup of the
+        # cached tensor itself then compares by identity, so no lookup hashes
+        # the n^3 Fractions
+        return hash(self.labels)
 
     @property
     def dim(self) -> int:
@@ -412,8 +416,7 @@ def invariance_residual(v: Generator, pde: PDEInstance | None = None) -> Expr:
     return substitute(raw, {f: pde.solved_form}, descend_unknown_args=False)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     generator: Generator
     residual: Expr
     symbolic_zero: bool
@@ -465,8 +468,7 @@ def symmetry_family_bodies(fns: Sequence[UnknownFn],
     return dict(zip(fns, (xi1b, xi2b, xi3b, phi1b, phi2b)))
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     """Determining equations grouped by u-jet monomial.
 
     ``records`` pairs each monomial (graded-lexicographic order) with its

@@ -219,6 +219,14 @@ class TestApplyAdjoint:
         with pytest.raises(ExprError, match=f"basis index {t} out of range 1..5"):
             apply_adjoint([(1, 0.5), (t, 0.5)], (1, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, "2", True, False, Fraction(2), None])
+    def test_basis_index_must_be_an_int(self, t):
+        # True would otherwise act as X1, and 2.0 would fail as a bare TypeError
+        with pytest.raises(ExprError, match="basis index must be an int"):
+            apply_adjoint([(1, 0.5), (t, 0.5)], (1, 0, 0, 0, 0))
+        with pytest.raises(ExprError, match="basis index must be an int"):
+            adjoint_matrix(t)
+
     @pytest.mark.parametrize("v", [(1, 2, 3), (1, 2, 3, 4, 5, 6), ()])
     def test_vector_length_must_be_dim(self, v):
         with pytest.raises(ExprError, match="5 components"):

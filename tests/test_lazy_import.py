@@ -1,12 +1,13 @@
-"""The package runs without numpy.
+"""The package runs without numpy, dataclasses and inspect.
 
-numpy is a test and benchmark dependency only, so importing the package and
-running any subcommand must never import it.  Each case runs in its own
-interpreter with ``sys.modules["numpy"] = None`` set before viscosym is
-imported, so that any ``import numpy`` raises ImportError; the test process
-itself cannot check this, since it has numpy loaded already.  The
-subcommand cases replay the first golden run of every subcommand, whose exit
-code and stdout must be unchanged.
+numpy is a test and benchmark dependency only, and dataclasses (which
+imports inspect) would cost a cold CLI process most of its import time, so
+importing the package and running any subcommand must never import them.
+Each case runs in its own interpreter with ``sys.modules[name] = None`` set
+for all three before viscosym is imported, so that any import of them
+raises ImportError; the test process itself cannot check this, since it has
+them loaded already.  The subcommand cases replay the first golden run of
+every subcommand, whose exit code and stdout must be unchanged.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden"
 CORPUS = GOLDEN / "cli_corpus.json"
 
-_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+_BLOCKED = ("numpy", "dataclasses", "inspect")
+_BLOCK = f"import sys; sys.modules.update(dict.fromkeys({_BLOCKED!r}))\n"
 
 # argv as JSON in, {"exit": code, "stdout": text} out
-_CHILD = _BLOCK_NUMPY + """
+_CHILD = _BLOCK + """
 import contextlib, io, json
 from viscosym.cli import run
 out = io.StringIO()
@@ -54,7 +56,7 @@ def _first_golden(command: str) -> dict:
 
 @pytest.mark.parametrize("module", ["viscosym", "viscosym.cli"])
 def test_import_leaves_numpy_out(module):
-    assert _fresh("-c", _BLOCK_NUMPY + f"import {module}; print('imported')") == "imported\n"
+    assert _fresh("-c", _BLOCK + f"import {module}; print('imported')") == "imported\n"
 
 
 @pytest.mark.parametrize("command", ["table", "adjoint-table", "adjoint-matrix", "optimal",
