@@ -112,18 +112,10 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
         "A^3 = -w^2 A with rational w (sin/cos exp)")
 
 
-def _check_index(t: int, dim: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool):      # True is no basis index
-        raise ExprError(f"basis index must be an int, got {t!r}")
-    if not 1 <= t <= dim:
-        raise ExprError(f"basis index {t} out of range 1..{dim}")
-
-
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
     """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t)."""
     if constants is None:
         constants = commutator_table()
-    _check_index(t, constants.dim)
     neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
     entries = _exp_series(neg_ad, S_PARAM)
     return AdjointMatrix(t, entries, constants.labels)
@@ -219,14 +211,14 @@ class NormalizationResult(NamedTuple):
 def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tuple[float, ...]:
     """Apply the left-to-right product of Ad matrices M_{t1}(s1) M_{t2}(s2)...
     to a coefficient vector (so the last letter acts on v first)."""
-    matrices = adjoint_matrices()
+    constants = commutator_table()
+    matrices = adjoint_matrices(constants)
     dim = len(matrices)
     vec = [float(comp) for comp in v]
     if len(vec) != dim:
         raise ExprError(f"coefficient vectors have {dim} components, got {len(vec)}")
     for t, value in reversed(list(word)):
-        _check_index(t, dim)
-        m = matrices[t - 1].at(float(value))
+        m = matrices[constants.basis_index(t)].at(float(value))
         vec = [sum(m[i][j] * vec[j] for j in range(len(vec))) for i in range(len(m))]
     return tuple(vec)
 

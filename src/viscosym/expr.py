@@ -84,7 +84,7 @@ __all__ = [
     "UnassignedSymbolError", "DomainEvalError",
     "Kind", "Expr", "Num", "Sym", "Jet", "Func", "UnknownFn", "Unknown",
     "Pow", "Mul", "Add",
-    "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS",
+    "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS", "OVERFLOW",
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
@@ -1004,7 +1004,7 @@ _MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
 _EVAL_BLOCK = 4096
 
 _NAN = float("nan")
-_OVERFLOW = "numeric overflow: a value exceeds the double range"
+OVERFLOW = "numeric overflow: a value exceeds the double range"
 
 
 def _eval_order(roots: Sequence[Expr]) -> list[Expr]:
@@ -1017,7 +1017,7 @@ def _as_eval_error(exc: Exception) -> EvalError:
     # float overflow, and ValueError from fsum or a math function at inf
     if isinstance(exc, EvalError):
         return exc.with_traceback(None)
-    return EvalError(_OVERFLOW)
+    return EvalError(OVERFLOW)
 
 
 def _leaf(node: Expr, columns: Mapping[Expr, list[float]], size: int) -> list[float]:
@@ -1099,7 +1099,7 @@ def _eval_block(order: list[Expr], columns: Mapping[Expr, list[float]],
                     try:
                         math.fsum(rows[point][:k])
                     except OverflowError:
-                        exc = EvalError(_OVERFLOW)
+                        exc = EvalError(OVERFLOW)
                     except ValueError:   # inf - inf fails only at the end
                         pass
                 failed[point] = exc
@@ -1126,7 +1126,7 @@ def _evaluate(roots: list[Expr], columns: list[tuple[Expr, Sequence[float]]],
                 root_failed = failures.setdefault(root, {})
                 for point, value in enumerate(vals[root]):
                     if not math.isfinite(value):
-                        root_failed.setdefault(point, EvalError(_OVERFLOW))
+                        root_failed.setdefault(point, EvalError(OVERFLOW))
         for root, values in zip(roots, out):
             values += vals[root]
             for point, exc in failures.get(root, {}).items():

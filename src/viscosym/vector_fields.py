@@ -86,6 +86,10 @@ class Generator(NamedTuple):
         # a tuple would repeat itself; a generator is scaled from the left only
         raise TypeError("a Generator is scaled from the left: factor * generator")
 
+    def __radd__(self, other):
+        # a tuple on the left would concatenate; generators add to generators
+        raise TypeError("a Generator adds only to a Generator")
+
     def __neg__(self) -> "Generator":
         return self.scaled(-1)
 
@@ -262,17 +266,24 @@ class StructureConstants(NamedTuple):
     def dim(self) -> int:
         return len(self.labels)
 
+    def basis_index(self, i: int) -> int:
+        """The storage index of basis element X_i, for an int i in 1..dim."""
+        if not isinstance(i, int) or isinstance(i, bool):      # True is no basis index
+            raise ExprError(f"basis index must be an int, got {i!r}")
+        if not 1 <= i <= self.dim:
+            raise ExprError(f"basis index {i} out of range 1..{self.dim}")
+        return i - 1
+
     def entry(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Coordinates of [X_i, X_j] (1-indexed arguments)."""
-        return self.c[i - 1][j - 1]
+        return self.c[self.basis_index(i)][self.basis_index(j)]
 
     def entry_text(self, i: int, j: int) -> str:
         return combo_text([Num(v) for v in self.entry(i, j)], self.labels)
 
     def adjoint_action(self, i: int) -> list[list[Fraction]]:
         """Matrix of ad_{X_i} on coordinates: column j holds [X_i, X_j]."""
-        n = self.dim
-        return [[self.c[i - 1][j][k] for j in range(n)] for k in range(n)]
+        return [list(row) for row in zip(*self.c[self.basis_index(i)])]
 
 
 def commutator_table(basis: Sequence[Generator] | None = None) -> StructureConstants:

@@ -35,6 +35,12 @@ class TestGeneratorArithmetic:
         with pytest.raises(TypeError):
             x1 * x2
 
+    @pytest.mark.parametrize("other", [(ONE,), ()])
+    def test_tuple_plus_generator_raises(self, other):
+        # a tuple would concatenate into a longer tuple
+        with pytest.raises(TypeError, match="adds only to a Generator"):
+            other + standard_basis()[0]
+
     def test_factor_times_generator_scales(self):
         x4 = standard_basis()[3]
         assert 2 * x4 == x4.scaled(2) == Generator(xi1=2 * y, xi2=-2 * x)

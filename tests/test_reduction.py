@@ -1,5 +1,6 @@
 """Similarity charts, chain-rule reduction and the published-table audit."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from viscosym.expr import (Add, ExprError, Jet, Mul, Num, Pow, Sym, ZERO, add, atoms,
-                           bind_jets, diff_atom, eval_numeric, mul, numerator, pow_, sub,
-                           substitute, substitute_functions, to_text,
-                           total_derivative)
+from viscosym.expr import (Add, DomainEvalError, EvalError, ExprError, Jet, Mul, Num,
+                           Pow, Sym, ZERO, add, atoms, bind_jets, diff_atom,
+                           eval_numeric, mul, numerator, pow_, sub, substitute,
+                           substitute_functions, to_text, total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 SimilarityChart, _second_singular_value,
                                 UnsupportedGeneratorError,
@@ -21,7 +22,7 @@ from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 verify_reduction)
 from viscosym.spaces import (a, b, base_space, eta, f, g, h, reduced_space, t,
                              u, x, xi, y)
-from viscosym.vector_fields import (Generator, basis_combination,
+from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
                                     parse_basis_combination, standard_basis)
 
 REDUCED = reduced_space()
@@ -345,8 +346,9 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
 
 
 class TestVerificationIdentity:
-    """The monomial images give bit for bit the discrepancy of composing
-    each random function directly, for correct and wrong candidates."""
+    """Combining evaluated monomial images gives the discrepancy of
+    composing each random function directly, up to rounding: the draws,
+    points and report fields are the same, only the summation order moves."""
 
     @pytest.mark.parametrize("label", ["X1", "X1 + X3", "2*X1 - 3*X2 + X3", "X4",
                                        "X4 + 2*X3"])
@@ -354,12 +356,54 @@ class TestVerificationIdentity:
     def test_matches_reference(self, pde, label, seed):
         chart = characteristic_invariants(parse_basis_combination(label))
         reduced = reduce_pde(pde, chart).residual
-        wrong = add(reduced, mul(a, Jet(h, (xi, eta, eta))))
-        for candidate in (reduced, wrong):
+        # wrong in an h-jet, and wrong in a g-jet only
+        wrongs = (add(reduced, mul(a, Jet(h, (xi, eta, eta)))),
+                  add(reduced, mul(b, Jet(g, (xi,)))))
+        for candidate in (reduced, *wrongs):
             report = verify_reduction(pde, chart, candidate, seed=seed,
                                       n_functions=2, n_points=3)
-            assert report.max_discrepancy == reference_max_discrepancy(
-                pde, chart, candidate, seed, 2, 3)
+            assert report[1:4] == (seed, 2, 3)
+            ref = reference_max_discrepancy(pde, chart, candidate, seed, 2, 3)
+            if candidate is reduced:
+                # 100 times below the default tol of 1e-7
+                assert report.max_discrepancy <= 1e-9 and ref <= 1e-9
+            else:
+                assert abs(report.max_discrepancy - ref) <= 1e-12 * ref
+
+
+class TestVerificationFailures:
+    """Which error a failing cross-check raises, and that a report never
+    hides a non-finite value."""
+
+    CHART = characteristic_invariants(parse_basis_combination("X1"))
+
+    def test_overflowing_candidate_raises(self, pde):
+        with pytest.raises(EvalError, match="numeric overflow") as info:
+            verify_reduction(pde, self.CHART, REDUCED.parse("exp(800*xi)*h"), seed=0)
+        assert type(info.value) is EvalError
+
+    def test_earliest_failing_point_raises(self, pde):
+        # xi = y is drawn in [0.6, 2]; the first draw below 13/10 fails
+        candidate = REDUCED.parse("h*(xi - 13/10)^(-1/2)")
+        with pytest.raises(DomainEvalError, match=r"^negative base -0\.09215943036470287 "
+                                                  r"under rational power -1/2$"):
+            verify_reduction(pde, self.CHART, candidate, seed=0)
+
+    def test_overflowing_original_side_raises(self):
+        # each image stays finite, but their combination does not
+        big = PDEInstance(BASE.parse("10^306*u_tt - f"))
+        with pytest.raises(EvalError, match="numeric overflow"):
+            verify_reduction(big, self.CHART, REDUCED.parse("h"), seed=0)
+
+    def test_discrepancy_is_never_nan(self, pde):
+        for text in ("h", "sin(h_xi) + 10^300*h_etaeta", "-b*h_xixi - g"):
+            report = verify_reduction(pde, self.CHART, REDUCED.parse(text), seed=0,
+                                      n_functions=3, n_points=6)
+            assert not math.isnan(report.max_discrepancy), text
+        for n_functions, n_points in ((0, 20), (10, 0)):
+            report = verify_reduction(pde, self.CHART, ZERO, n_functions=n_functions,
+                                      n_points=n_points)
+            assert report.max_discrepancy == 0.0 and report.passed
 
 
 class TestAudit:

@@ -106,3 +106,21 @@ def antisymmetric_tensors(draw):
 @example(tensor(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1, 1: 1}}))
 def test_sparse_check_agrees_with_the_dense_loops(c):
     assert verdict(c) == dense_verdict(c)
+
+
+@pytest.mark.parametrize("i", [0, -1, 6, True, False, 2.0, Fraction(2), "2", None])
+def test_basis_indices_are_checked(i):
+    # index 0 must not wrap to the last element, and True is not X1
+    table = commutator_table()
+    for access in (lambda: table.entry(i, 2), lambda: table.entry(2, i),
+                   lambda: table.entry_text(i, 1), lambda: table.adjoint_action(i)):
+        with pytest.raises(ExprError, match="basis index"):
+            access()
+
+
+def test_adjoint_action_columns_are_brackets():
+    table = commutator_table()
+    for i in range(1, 6):
+        action = table.adjoint_action(i)
+        for j in range(1, 6):
+            assert [row[j - 1] for row in action] == list(table.entry(i, j))
