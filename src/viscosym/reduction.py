@@ -18,15 +18,17 @@ x^2 + y^2 = xi; folding y^2 -> xi - x^2 removes them.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .expr import (Add, EvalError, Expr, ExprError, Jet, Num, OVERFLOW, Pow, Sym,
-                   Unknown, UnknownFn, ZERO, add, atoms, bind_jets, checked,
-                   diff_atom, eval_batch, func, mul, neg, numerator, pow_,
-                   rebuild, sub, substitute, substitute_functions, to_text)
+                   Unknown, UnknownFn, ZERO, add, atoms, checked, diff_atom,
+                   eval_batch, func, mul, neg, numerator, pow_, rebuild, sub,
+                   substitute, to_text)
 from .spaces import (a as A_SYM, b as B_SYM, base_space, eta as ETA,
                      reduced_space, xi as XI, h as H_DEP, g as G_DEP,
                      t, u, f, x, y)
@@ -271,6 +273,8 @@ class ReductionReport(NamedTuple):
 # (i, j) of xi^i * eta^j, dense through degree 4, in the order the random
 # coefficients are drawn
 _EXPONENTS = tuple((i, j) for i in range(5) for j in range(5 - i))
+_BASE = (x, y, t)            # a multi-index counts derivatives along each
+_ORIGIN = (0, 0, 0)
 
 
 def _random_coefficients(rng: random.Random) -> list[int]:
@@ -282,12 +286,63 @@ def _random_coefficients(rng: random.Random) -> list[int]:
     return coeffs
 
 
-def _combine(coeffs: list[int], columns: list[list[float]], point: int) -> float:
-    """sum_k coeffs[k] * columns[k][point], or nan beyond the double range."""
+def _below(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    return itertools.product(*(range(n + 1) for n in alpha))
+
+
+def _chart_tables(chart: SimilarityChart, betas: list[tuple[int, int, int]],
+                  columns: dict, failed: dict[int, EvalError]) -> list[dict]:
+    """Jet tables of xi and eta: D^beta at every point for each multi-index
+    of ``betas``, each listed after its prefix.  D^beta is taken
+    symbolically from its prefix, along its last variable; an exact zero is
+    None and never evaluated."""
+    derived = {_ORIGIN: (chart.xi, chart.eta)}
+    for beta in betas[1:]:
+        v = max(k for k in range(3) if beta[k])
+        prefix = beta[:v] + (beta[v] - 1,) + beta[v + 1:]
+        derived[beta] = tuple(e if e is ZERO else diff_atom(e, _BASE[v])
+                              for e in derived[prefix])
+    roots = [e for pair in derived.values() for e in pair if e is not ZERO]
+    values = dict(zip(roots, eval_batch(roots, columns, errors=failed)))
+    return [{beta: values.get(pair[k]) for beta, pair in derived.items()} for k in (0, 1)]
+
+
+def _leibniz(fs: dict, gs: dict, alphas: Iterable[tuple[int, ...]]) -> dict:
+    """The jet table of F*G at ``alphas``, point by point: D^alpha(FG) is the
+    sum of C(alpha, beta) D^beta F * D^(alpha - beta) G over beta <= alpha,
+    skipping exact zeros (None)."""
+    out = {}
+    for alpha in alphas:
+        parts = []
+        for beta in _below(alpha):
+            rest = tuple(map(operator.sub, alpha, beta))
+            if fs[beta] is not None and gs[rest] is not None:
+                part = list(map(operator.mul, fs[beta], gs[rest]))
+                c = math.prod(map(math.comb, alpha, beta))
+                parts.append(part if c == 1 else [c * v for v in part])
+        out[alpha] = list(map(sum, zip(*parts))) if parts else None
+    return out
+
+
+def _dot(weights: list[int], row: tuple[float, ...]) -> float:
     try:
-        return math.fsum([c * column[point] for c, column in zip(coeffs, columns) if c])
-    except (OverflowError, ValueError):
+        return math.fsum(map(operator.mul, weights, row))
+    except (OverflowError, ValueError):     # a partial sum beyond the range, or inf - inf
         return math.nan
+
+
+def _weighted(columns: list, weights: list[list[int]], n_points: int,
+              failed: dict[int, EvalError]) -> list[float]:
+    """Per point, the ``math.fsum`` of w_k * columns[k] over the columns that
+    are not exact zeros, w the weights of the point's function; a point whose
+    sum is not finite fails with the overflow error."""
+    keep = [k for k, column in enumerate(columns) if column is not None]
+    picked = [[w[k] for k in keep] for w in weights]
+    rows = zip(*[columns[k] for k in keep]) if keep else [()] * (n_points * len(weights))
+    out = list(map(_dot, [w for w in picked for _ in range(n_points)], rows))
+    for p in [p for p, value in enumerate(out) if not math.isfinite(value)]:
+        failed.setdefault(p, EvalError(OVERFLOW))
+    return out
 
 
 def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
@@ -302,59 +357,80 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
     (xi, eta) points; report the largest absolute discrepancy, rounding
     noise of 1e-14 to 1e-10 for a correct reduction.
 
-    No tree is built per function.  The original residual is affine in
-    (u, f), which ``PDEInstance`` checks at construction, so the chain rule
-    runs once, on the 15 monomials M_k = xi^i * eta^j pulled back through the
-    chart: base = compose(0, 0), U_k = compose(M_k, 0) - base and
-    F_k = compose(0, M_k) - base.  For h = sum c_k M_k and g = sum d_k M_k
-    it is the ``math.fsum`` of base, c_k U_k and d_k F_k at each point.  A
-    jet D_J h of the candidate (or h) is sum c_k D_J M_k there, and the
-    candidate, which need not be linear, is evaluated on those values.
-    ``random.Random(seed)`` draws, per function, 15 ``randint(-3, 3)`` for h,
-    15 for g, then per point ``uniform(0.6, 2.0)`` for x, y, t and
-    ``uniform(0.5, 2.0)`` for a, b.  The earliest failing point raises the
-    error of the original side, else of the chart, else of the candidate.
-    An image is evaluated even where its coefficient is 0, so it can fail
-    where the function does not use it; no catalog chart does on the box.
+    The chain rule runs in forward mode on jet tables, which hold D^beta of
+    a function at every point for each multi-index beta over (x, y, t) at
+    or below a u- or f-jet of the residual.  Each D^beta xi and D^beta eta
+    is derived symbolically once, from its prefix; an exact zero is never
+    evaluated, so a linear chart's higher jets cost nothing.  The Leibniz
+    rule gives the tables of the 15 monomials M_k = xi^i * eta^j.  For
+    h = sum c_k M_k a u-jet is the ``math.fsum`` of c_k D^beta M_k (g and
+    the f-jets alike), and the residual is evaluated on those values.  A
+    candidate jet D_xi^p D_eta^q h is the sum of c_k perm(i, p) perm(j, q)
+    xi^(i-p) eta^(j-q), and the candidate, which need not be linear, is
+    evaluated on them.  ``random.Random(seed)`` draws, per function, 15
+    ``randint(-3, 3)`` for h, 15 for g, then per point ``uniform(0.6, 2.0)``
+    for x, y, t and ``uniform(0.5, 2.0)`` for a, b.  The earliest failing
+    point raises the error of the original side (the chart's jets, a jet
+    beyond the double range, the residual), else of the candidate's jets,
+    else of the candidate.
     """
     candidate = reduced.residual if isinstance(reduced, ReducedPDE) else reduced
-    monomials = [mul(pow_(XI, i), pow_(ETA, j)) for i, j in _EXPONENTS]
-    base = pde.compose(ZERO, ZERO)
-    u_images, f_images = [], []
-    for mono in monomials:
-        pulled = substitute_functions(chart.u_subst, {H_FN: mono})
-        u_images.append(sub(pde.compose(pulled, ZERO), base))
-        f_images.append(sub(pde.compose(ZERO, pulled), base))
     rng = random.Random(seed)
-    draws, points = [], []                # one draw of (h, g) per point
+    hs, gs, points = [], [], []
     for _ in range(n_functions):
-        draws += [{H_DEP: _random_coefficients(rng), G_DEP: _random_coefficients(rng)}] * n_points
+        hs.append(_random_coefficients(rng))
+        gs.append(_random_coefficients(rng))
         points += [[rng.uniform(0.6, 2.0) for _ in "xyt"] + [rng.uniform(0.5, 2.0) for _ in "ab"]
                    for _ in range(n_points)]
+    weights = {u: hs, f: gs, H_DEP: hs, G_DEP: gs}
     px, py, pt, pa, pb = zip(*points) if points else [()] * 5
-    # per point the original side, the chart, the candidate's jets, then the
-    # candidate; the earliest point with a failure raises the first of them
+    columns = {x: px, y: py, t: pt, A_SYM: pa, B_SYM: pb}
+    # per point the original side, the candidate's jets, then the candidate;
+    # the earliest point with a failure raises the first of them
     failed: list[dict[int, EvalError]] = [{}, {}, {}, {}]
-    images = eval_batch([base, *u_images, *f_images],
-                        {x: px, y: py, t: pt, A_SYM: pa, B_SYM: pb}, errors=failed[0])
-    cxi, ceta = eval_batch([chart.xi, chart.eta], {x: px, y: py, t: pt}, errors=failed[1])
-    columns = {XI: cxi, ETA: ceta, A_SYM: pa, B_SYM: pb}
-    for jet in atoms(candidate):
-        dep = jet.base if isinstance(jet, Jet) else jet
+    # the residual's u- and f-jets as multi-indices (a bare u or f at the
+    # origin), and every multi-index below them, each after its prefix
+    jets = {atom: (atom, _ORIGIN) if isinstance(atom, Sym) else
+            (atom.base, tuple(map(atom.indices.count, _BASE)))
+            for atom in atoms(pde.residual) if _is_base_atom(atom) and atom not in _BASE}
+    betas = sorted({_ORIGIN}.union(*(_below(beta) for _, beta in jets.values())),
+                   key=lambda beta: (sum(beta), beta))
+    one = dict.fromkeys(betas)
+    one[_ORIGIN] = [1.0] * len(points)
+    powers = [[one, table] for table in _chart_tables(chart, betas, columns, failed[0])]
+    for _ in range(3):                  # xi^i and eta^j through degree 4, in full
+        for pows in powers:
+            pows.append(_leibniz(pows[-1], pows[1], betas))
+    # a mixed product is read only at the residual's jets and, by the
+    # candidate, at the origin
+    mixed = {_ORIGIN, *(beta for _, beta in jets.values())}
+    monomials = [powers[1][j] if i == 0 else powers[0][i] if j == 0 else
+                 _leibniz(powers[0][i], powers[1][j], mixed) for i, j in _EXPONENTS]
+    for atom, (dep, beta) in jets.items():
+        columns[atom] = _weighted([m[beta] for m in monomials], weights[dep],
+                                  n_points, failed[0])
+    (lhs,) = eval_batch([pde.residual], columns, errors=failed[1])
+
+    # D_xi^p D_eta^q (xi^i eta^j) = perm(i, p) perm(j, q) xi^(i-p) eta^(j-q)
+    plain = dict(zip(_EXPONENTS, (m[_ORIGIN] for m in monomials)))
+    columns = {XI: plain[1, 0], ETA: plain[0, 1], A_SYM: pa, B_SYM: pb}
+    for atom in atoms(candidate):
+        dep, indices = (atom.base, atom.indices) if isinstance(atom, Jet) else (atom, ())
         if dep in (H_DEP, G_DEP):
-            derived = eval_batch([bind_jets(jet, {dep: mono}) for mono in monomials],
-                                 columns, errors=failed[2])
-            columns[jet] = [_combine(draw[dep], derived, p) for p, draw in enumerate(draws)]
+            p, q = indices.count(XI), indices.count(ETA)
+            # 0 along any other variable, which a polynomial in (xi, eta) lacks
+            scales = [math.perm(i, p) * math.perm(j, q) * (p + q == len(indices))
+                      for i, j in _EXPONENTS]
+            columns[atom] = _weighted(
+                [plain[i - p, j - q] if scale else None
+                 for (i, j), scale in zip(_EXPONENTS, scales)],
+                [list(map(operator.mul, w, scales)) for w in weights[dep]], n_points, failed[2])
     (rhs,) = eval_batch([candidate], columns, errors=failed[3])
-    worst = 0.0
-    for p, draw in enumerate(draws):
-        lhs = _combine([1, *draw[H_DEP], *draw[G_DEP]], images, p)
-        if not math.isfinite(lhs):
-            failed[0].setdefault(p, EvalError(OVERFLOW))
-        for stage in failed:
-            if p in stage:
-                raise stage[p]
-        worst = max(worst, abs(lhs - rhs[p]))
+    failing = set().union(*failed)
+    if failing:
+        p = min(failing)
+        raise next(stage[p] for stage in failed if p in stage)
+    worst = max(map(abs, map(operator.sub, lhs, rhs)), default=0.0)
     return ReductionReport(worst, seed, n_functions, n_points, tol, worst < tol)
 
 

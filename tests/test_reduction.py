@@ -346,9 +346,21 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
 
 
 class TestVerificationIdentity:
-    """Combining evaluated monomial images gives the discrepancy of
+    """The forward-mode chain rule on jet tables gives the discrepancy of
     composing each random function directly, up to rounding: the draws,
-    points and report fields are the same, only the summation order moves."""
+    points and report fields are the same, only the arithmetic moves."""
+
+    @staticmethod
+    def check(pde, chart, candidate, seed, correct):
+        report = verify_reduction(pde, chart, candidate, seed=seed,
+                                  n_functions=2, n_points=3)
+        assert report[1:4] == (seed, 2, 3)
+        ref = reference_max_discrepancy(pde, chart, candidate, seed, 2, 3)
+        if correct:
+            # 100 times below the default tol of 1e-7
+            assert report.max_discrepancy <= 1e-9 and ref <= 1e-9
+        else:
+            assert abs(report.max_discrepancy - ref) <= 1e-12 * ref, to_text(candidate)
 
     @pytest.mark.parametrize("label", ["X1", "X1 + X3", "2*X1 - 3*X2 + X3", "X4",
                                        "X4 + 2*X3"])
@@ -356,19 +368,80 @@ class TestVerificationIdentity:
     def test_matches_reference(self, pde, label, seed):
         chart = characteristic_invariants(parse_basis_combination(label))
         reduced = reduce_pde(pde, chart).residual
-        # wrong in an h-jet, and wrong in a g-jet only
+        # wrong in an h-jet, wrong in a g-jet only, not linear, and with an
+        # h-jet along x, which every polynomial in (xi, eta) lacks
         wrongs = (add(reduced, mul(a, Jet(h, (xi, eta, eta)))),
-                  add(reduced, mul(b, Jet(g, (xi,)))))
-        for candidate in (reduced, *wrongs):
-            report = verify_reduction(pde, chart, candidate, seed=seed,
-                                      n_functions=2, n_points=3)
-            assert report[1:4] == (seed, 2, 3)
-            ref = reference_max_discrepancy(pde, chart, candidate, seed, 2, 3)
-            if candidate is reduced:
-                # 100 times below the default tol of 1e-7
-                assert report.max_discrepancy <= 1e-9 and ref <= 1e-9
-            else:
-                assert abs(report.max_discrepancy - ref) <= 1e-12 * ref
+                  add(reduced, mul(b, Jet(g, (xi,)))),
+                  REDUCED.parse("a*h_xi*h_eta + b*g_xi"),
+                  add(reduced, mul(b, Jet(g, (xi,))), Jet(h, (x, eta))))
+        self.check(pde, chart, reduced, seed, correct=True)
+        for candidate in wrongs:
+            self.check(pde, chart, candidate, seed, correct=False)
+
+    # hand-built charts whose second and third jets do not all vanish
+    NONLINEAR_CHARTS = [("X1", "y^2 + sin(t)", "exp(t)*y"),
+                        ("X1", "exp(t)*y^2", "y + cos(t)"),
+                        ("X2", "x*t^2", "exp(x - t)")]
+    # a mixed jet, explicit coordinates, a bare u and an f-jet
+    OTHER_PDE = "u_xyt + t*u_x + u + t*f_x - f"
+
+    @pytest.mark.parametrize("label,xi_text,eta_text", NONLINEAR_CHARTS)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_nonlinear_charts_match_reference(self, pde, label, xi_text, eta_text, seed):
+        chart = SimilarityChart(parse_basis_combination(label), BASE.parse(xi_text),
+                                BASE.parse(eta_text), "linear")
+        for equation in (pde, PDEInstance(BASE.parse(self.OTHER_PDE))):
+            for text in ("h_xi - g", "a*h_xi*h_eta + b*g_xi", "h_xixieta + g_eta"):
+                self.check(equation, chart, REDUCED.parse(text), seed, correct=False)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_other_equation_matches_reference(self, seed):
+        other = PDEInstance(BASE.parse(self.OTHER_PDE))
+        chart = characteristic_invariants(parse_basis_combination("X1 + X2"))
+        assert (chart.xi, chart.eta) == (t, BASE.parse("x - y"))
+        # u = h(t, x - y): u_xyt = -h_xietaeta, u_x = h_eta, f_x = g_eta
+        reduced = REDUCED.parse("-h_xietaeta + xi*h_eta + h + xi*g_eta - g")
+        self.check(other, chart, reduced, seed, correct=True)
+        for text in ("h_xietaeta + xi*h_eta + h + xi*g_eta - g",
+                     "-h_xietaeta + xi*h_eta + h - g", "a*h_xi*h_eta + b*g_xi"):
+            self.check(other, chart, REDUCED.parse(text), seed, correct=False)
+
+
+class TestForwardModeCost:
+    """The check differentiates the chart once per multi-index and builds no
+    tree per monomial: it never composes the equation, never binds jets and
+    takes at most 2 * (|S| - 1) = 20 symbolic derivatives, S the 11
+    multi-indices at or below the viscoelastic residual's jets."""
+
+    @pytest.mark.parametrize("chart", [
+        characteristic_invariants(parse_basis_combination("X1")),
+        characteristic_invariants(parse_basis_combination("X4 + X3")),
+        SimilarityChart(parse_basis_combination("X1"), BASE.parse("y^2 + sin(t)"),
+                        BASE.parse("exp(t)*y"), "linear")], ids=["linear", "rotation", "hand"])
+    def test_no_composition_and_one_derivative_per_chart_jet(self, monkeypatch, pde, chart):
+        import viscosym.expr as E
+        import viscosym.reduction as R
+        import viscosym.vector_fields as V
+        calls = {}
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(PDEInstance, "compose", counting("compose", PDEInstance.compose))
+        monkeypatch.setattr(E, "total_derivative",
+                            counting("total_derivative", E.total_derivative))
+        bind, derive = counting("bind_jets", E.bind_jets), counting("diff_atom", E.diff_atom)
+        for module in (E, V):
+            monkeypatch.setattr(module, "bind_jets", bind)
+        for module in (E, R):
+            monkeypatch.setattr(module, "diff_atom", derive)
+        verify_reduction(pde, chart, REDUCED.parse("h_xi - g"), seed=0)
+        assert "compose" not in calls and "bind_jets" not in calls
+        assert "total_derivative" not in calls
+        assert 0 < calls["diff_atom"] <= 20
 
 
 class TestVerificationFailures:
@@ -394,6 +467,14 @@ class TestVerificationFailures:
         big = PDEInstance(BASE.parse("10^306*u_tt - f"))
         with pytest.raises(EvalError, match="numeric overflow"):
             verify_reduction(big, self.CHART, REDUCED.parse("h"), seed=0)
+
+    def test_overflowing_chart_jets_raise(self, pde):
+        # xi^3 and beyond leave the double range at every point
+        chart = SimilarityChart(parse_basis_combination("X1"), BASE.parse("exp(400*y)"),
+                                t, "linear")
+        with pytest.raises(EvalError, match="numeric overflow") as info:
+            verify_reduction(pde, chart, REDUCED.parse("h_xi - g"), seed=0)
+        assert type(info.value) is EvalError
 
     def test_discrepancy_is_never_nan(self, pde):
         for text in ("h", "sin(h_xi) + 10^300*h_etaeta", "-b*h_xixi - g"):
