@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add, checked,
-                   eval_batch, func, mul, pow_, sub, substitute)
+from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add, batch_evaluator,
+                   checked, func, mul, pow_, sub, substitute)
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
                      mat_mul_expr, mat_mul_rat, mat_is_zero)
 from .spaces import s as S_PARAM
@@ -66,9 +66,24 @@ class AdjointMatrix(NamedTuple):
         """Evaluate the matrix numerically at s = value."""
         if not math.isfinite(value):
             raise ExprError("adjoint parameter must be finite")
-        dim = len(self.labels)
-        values = eval_batch([e for row in self.entries for e in row], {S_PARAM: [value]})
-        return [[v[0] for v in values[i:i + dim]] for i in range(0, len(values), dim)]
+        return _entry_evaluator(self.entries)(value)
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_evaluator(entries: ExprMat):
+    """``AdjointMatrix.at`` for one matrix.  The distinct entries (a 5x5
+    matrix holds a handful) and their evaluation order are found once; each
+    call evaluates them, in first-occurrence order, which raises the error
+    that evaluating every entry in order would."""
+    distinct = list(dict.fromkeys(e for row in entries for e in row))
+    evaluate = batch_evaluator(distinct)
+    where = [[distinct.index(e) for e in row] for row in entries]
+
+    def at(value: float) -> list[list[float]]:
+        values = evaluate({S_PARAM: [value]})
+        return [[values[k][0] for k in row] for row in where]
+
+    return at
 
 
 def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:

@@ -40,7 +40,10 @@ a tree through the canonical constructors with a per-node replacement hook
 ``bind_jets`` composes an equation with concrete dependents and their jets.
 Every walk descends through one child enumeration, ``_children``, and visits
 each distinct node once per call, so a hook must be a pure function of the
-node; the derivatives and ``atoms`` do the same.
+node; the derivatives and ``atoms`` do the same.  A canonical node that
+would come out unchanged is returned, not built again (``rebuild`` keeps a
+node whose children did not change); ``canonicalize`` alone rebuilds every
+node, for trees assembled by calling the node classes directly.
 Canonical form never divides one sum by another, so
 x^2/(x^2 + y^2) + y^2/(x^2 + y^2) stays two terms; ``numerator`` clears the
 sums under negative powers, which turns a zero test of such a quotient
@@ -48,7 +51,7 @@ into the zero test of a polynomial.
 Numeric evaluation has one walker, ``eval_batch``: it computes each
 distinct node below a list of roots once per block of sample points, in
 IEEE doubles with the ``math`` functions; ``eval_numeric`` is its one-point
-case.
+case, and ``batch_evaluator`` fixes its roots for repeated calls.
 
 Kernel numbers (``Num`` values, ``Mul`` coefficients, ``Pow`` exponents)
 are ints when integral and Fractions otherwise (``rational``): the two hash,
@@ -88,7 +91,7 @@ __all__ = [
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
-    "substitute_functions", "bind_jets",
+    "substitute_functions", "bind_jets", "batch_evaluator",
     "eval_batch", "eval_numeric", "equals", "max_abs_sample", "numerator",
 ]
 
@@ -97,6 +100,7 @@ Rat = Union[int, Fraction]
 JET_ORDER_CAP = 4
 ELEMENTARY_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "arctan": 1, "atan2": 2}
 _POW_EXPAND_LIMIT = 12
+_TRIG = ("sin", "cos")
 
 
 class ExprError(Exception):
@@ -438,11 +442,14 @@ def _base_exp(factor: Expr) -> tuple[Expr, Rat]:
 # ---------------------------------------------------------------------------
 
 def add(*eargs: Expr) -> Expr:
-    """Canonical sum of already-canonical expressions."""
+    """Canonical sum of already-canonical expressions.  An input term whose
+    coefficient no other term changes comes out as the same node."""
     acc: dict[tuple[Expr, ...], Rat] = {}
+    kept: dict[tuple[Expr, ...], Expr] = {}     # the last input term of each monomial
     for e in eargs:
-        _merge_into(acc, _coerce(e))
-    terms = [_from_term(c, f) for f, c in acc.items()]
+        _merge_into(acc, _coerce(e), kept)
+    terms = [kept[f] if _as_term(kept[f])[0] == c else _from_term(c, f)
+             for f, c in acc.items()]
     terms.sort(key=_key)
     if not terms:
         return ZERO
@@ -458,7 +465,8 @@ def term_map(e: Expr) -> dict[tuple[Expr, ...], Rat]:
     return acc
 
 
-def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr) -> None:
+def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr,
+                kept: dict[tuple[Expr, ...], Expr] | None = None) -> None:
     for part in _terms(term):
         coeff, factors = _as_term(part)
         if coeff == 0:
@@ -468,6 +476,8 @@ def _merge_into(acc: dict[tuple[Expr, ...], Rat], term: Expr) -> None:
             acc.pop(factors, None)
         else:
             acc[factors] = newc
+            if kept is not None:
+                kept[factors] = part
 
 
 def numerator(e: Expr) -> Expr:
@@ -515,7 +525,8 @@ def mul(*eargs: Expr) -> Expr:
     if coeff == 0:
         return ZERO
     for base, exp in powers.items():
-        if (type(base) is Func and base.fn == "sin" and type(exp) is int
+        # a Fraction sum of exponents may be integral: sin(w)^(1/2)*sin(w)^(3/2)
+        if (type(base) is Func and base.fn == "sin" and exp.denominator == 1
                 and 2 <= exp and exp // 2 <= _POW_EXPAND_LIMIT
                 and powers.get(cos := Func("cos", base.args), 0) < 0):
             # rule (b): sin(w)^a beside a negative power of cos(w)
@@ -547,20 +558,26 @@ def mul(*eargs: Expr) -> Expr:
 
 
 def _distribute(e1: Expr, e2: Expr) -> Expr:
-    parts = []
-    for t1 in _terms(e1):
-        for t2 in _terms(e2):
-            c1, f1 = _as_term(t1)
-            c2, f2 = _as_term(t2)
-            parts.append(_mul_terms(c1 * c2, f1, f2))
-    return add(*parts)
+    right = [_as_term(t2) for t2 in _terms(e2)]
+    parts = [_mul_terms(c1 * c2, f1, f2)
+             for c1, f1 in map(_as_term, _terms(e1)) for c2, f2 in right]
+    return parts[0] if len(parts) == 1 else add(*parts)
 
 
 def _mul_terms(coeff: Rat, f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> Expr:
+    """coeff times two canonical factor tuples.  Factors of distinct bases,
+    none of them sin or cos, are already the canonical product's factors:
+    no power merges and no trig rule applies, so they are only sorted
+    (stably, as ``mul`` sorts them)."""
     if not f1:
         return _from_term(coeff, f2)
     if not f2:
         return _from_term(coeff, f1)
+    factors = f1 + f2
+    bases = [f.base if type(f) is Pow else f for f in factors]
+    if len(set(bases)) == len(bases) and not any(
+            type(b) is Func and b.fn in _TRIG for b in bases):
+        return _from_term(coeff, tuple(sorted(factors, key=_factor_key)))
     return mul(Num(coeff), _from_term(1, f1), _from_term(1, f2))
 
 
@@ -738,12 +755,11 @@ def div(e1: Expr, e2: Expr) -> Expr:
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Rebuild an expression bottom-up through the canonical constructors.
-
-    Canonical-by-construction expressions are fixed points; this is also the
-    safe entry for hand-assembled node trees.
+    """Rebuild every node of e bottom-up through the canonical constructors,
+    changed children or not: the entry for hand-assembled node trees.  A
+    tree the constructors built is a fixed point: ``canonicalize(e) is e``.
     """
-    return rebuild(e, lambda node: None)
+    return _walk(e, lambda node: None, True, keep_unchanged=False)
 
 
 def rebuild(e: Expr, fn: Callable[[Expr], Expr | None],
@@ -754,19 +770,31 @@ def rebuild(e: Expr, fn: Callable[[Expr], Expr | None],
     must be a pure function of the node: a node shared by several parents
     is rebuilt once per call.  When ``fn`` returns an expression, that
     replaces the node as is; when it returns None, the node's children are
-    rebuilt.  Opaque-function arguments are kept as they are when
+    rebuilt.  A node none of whose children changed is kept as the same
+    object, not rebuilt, so e must be canonical (``canonicalize`` is the
+    entry for hand-assembled trees), and ``rebuild(e, lambda node: None)
+    is e``.  Opaque-function arguments are kept as they are when
     ``descend_unknown_args`` is false.
     """
+    return _walk(e, fn, descend_unknown_args, keep_unchanged=True)
+
+
+def _walk(e: Expr, fn: Callable[[Expr], Expr | None], descend_unknown_args: bool, *,
+          keep_unchanged: bool) -> Expr:
+    """``rebuild``, or without ``keep_unchanged`` ``canonicalize``."""
     done: dict[Expr, Expr] = {}     # no node is falsy, so a miss alone gives None
 
     def walk(node: Expr) -> Expr:
         new = node if isinstance(node, Num) else fn(node)
         if new is None:
+            children = _children(node)
             if isinstance(node, Unknown) and not descend_unknown_args:
                 new = node
             else:
-                kids = [done.get(c) or walk(c) for c in _children(node)]
-                if isinstance(node, Add):
+                kids = [done.get(c) or walk(c) for c in children]
+                if keep_unchanged and all(map(operator.is_, kids, children)):
+                    new = node
+                elif isinstance(node, Add):
                     new = add(*kids)
                 elif isinstance(node, Mul):
                     new = mul(Num(node.coeff), *kids)
@@ -876,7 +904,7 @@ def _derive(e: Expr, datom: Callable[[Expr], Expr]) -> Expr:
                 for i, dfac in enumerate(ds):
                     if dfac is not ZERO:
                         rest = node.factors[:i] + node.factors[i + 1:]
-                        parts.append(mul(Num(node.coeff), _from_term(1, rest), dfac))
+                        parts.append(_distribute(_from_term(node.coeff, rest), dfac))
                 out = add(*parts)
             elif isinstance(node, Pow):
                 out = mul(Num(node.exp), pow_(node.base, node.exp - 1), ds[0])
@@ -924,7 +952,9 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
 
 def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
                descend_unknown_args: bool = True) -> Expr:
-    """Simultaneous substitution of symbols/jets followed by canonicalization.
+    """Simultaneous substitution of symbols/jets in a canonical e; the nodes
+    above a substituted atom are rebuilt through the canonical constructors,
+    and every other node is kept as it is.
 
     Self-referencing bindings such as s -> s + d are fine (the substitution
     is one-pass), but a dependency cycle between two or more keys raises
@@ -1109,11 +1139,12 @@ def _eval_block(order: list[Expr], columns: Mapping[Expr, list[float]],
     return vals, failures
 
 
-def _evaluate(roots: list[Expr], columns: list[tuple[Expr, Sequence[float]]],
+def _evaluate(roots: list[Expr], order: list[Expr],
+              columns: list[tuple[Expr, Sequence[float]]],
               npoints: int) -> tuple[list[list[float]], dict[int, EvalError]]:
     """Values of each root at npoints points, block by block, and the first
-    error, roots in order, at each failing point (whose values are nan)."""
-    order = _eval_order(roots)
+    error, roots in order, at each failing point (whose values are nan);
+    ``order`` is the roots' ``_eval_order``."""
     out: list[list[float]] = [[] for _ in roots]
     failed: dict[int, EvalError] = {}
     for start in range(0, npoints, _EVAL_BLOCK):
@@ -1152,20 +1183,34 @@ def eval_batch(roots: Sequence[Expr], columns: Mapping[Expr, Sequence[float]], *
     failing point raises it.  If ``errors`` is given, failing points map to
     their errors there instead, and their values are nan.
     """
+    return batch_evaluator(roots)(columns, errors=errors)
+
+
+def batch_evaluator(roots: Sequence[Expr]) -> Callable[..., list[list[float]]]:
+    """``eval_batch`` with its roots fixed: ``batch_evaluator(roots)(columns,
+    errors=errors)`` is ``eval_batch(roots, columns, errors=errors)``.  The
+    order of the roots' distinct nodes is built once, here, so a caller that
+    evaluates the same roots again and again pays for it once."""
     roots = list(roots)
-    items = list(columns.items())
-    for atom, _ in items:
-        if not isinstance(atom, (Sym, Jet)):
-            raise ExprError(f"bad assignment key {atom!r}")
-    npoints = len(items[0][1]) if items else 1
-    if any(len(column) != npoints for _, column in items):
-        raise ExprError("every column needs one value per point")
-    out, failed = _evaluate(roots, items, npoints)
-    if errors is not None:
-        errors.update(failed)
-    elif failed:
-        raise failed[min(failed)]
-    return out
+    order = _eval_order(roots)
+
+    def evaluate(columns: Mapping[Expr, Sequence[float]], *,
+                 errors: dict[int, EvalError] | None = None) -> list[list[float]]:
+        items = list(columns.items())
+        for atom, _ in items:
+            if not isinstance(atom, (Sym, Jet)):
+                raise ExprError(f"bad assignment key {atom!r}")
+        npoints = len(items[0][1]) if items else 1
+        if any(len(column) != npoints for _, column in items):
+            raise ExprError("every column needs one value per point")
+        out, failed = _evaluate(roots, order, items, npoints)
+        if errors is not None:
+            errors.update(failed)
+        elif failed:
+            raise failed[min(failed)]
+        return out
+
+    return evaluate
 
 
 def eval_numeric(e: Expr, assignment: Mapping[Expr, float]) -> float:
@@ -1198,6 +1243,7 @@ def max_abs_sample(e: Expr, *, seed: int = 42, points: int = 20,
     if fns:
         e = substitute_functions(e, {fn: _random_polynomial(rng, fn.slots) for fn in fns})
     syms = sorted((at for at in atoms(e) if isinstance(at, (Sym, Jet))), key=_key)
+    order = _eval_order([e])
     worst = 0.0
     good = drawn = 0
     while good < points and drawn < 8 * points:
@@ -1208,7 +1254,7 @@ def max_abs_sample(e: Expr, *, seed: int = 42, points: int = 20,
             for sm in syms:
                 columns[sm].append(rng.uniform(lo, hi))
         drawn += size
-        (values,), failed = _evaluate([e], list(columns.items()), size)
+        (values,), failed = _evaluate([e], order, list(columns.items()), size)
         for point, val in enumerate(values):
             if isinstance(failed.get(point), DomainEvalError):
                 continue

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Num, Pow,
+from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Mul, Num, Pow,
                    Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets, checked,
                    diff_atom, join_signed, max_abs_sample, mul, neg, signed_term,
                    sub, substitute, term_map, to_text, total_derivative)
@@ -514,7 +514,11 @@ def _monomial_split(coeff: Fraction, factors: tuple[Expr, ...]
         else:
             rest.append(factor)
     mono.sort(key=lambda pair: _jet_sort_key(pair[0]))
-    coeff_expr = mul(Num(coeff), *rest) if rest else Num(coeff)
+    # a sub-tuple of a canonical product's factors is canonical as it stands
+    if len(rest) > 1 or rest and coeff != 1:
+        coeff_expr = Mul(coeff, tuple(rest))
+    else:
+        coeff_expr = rest[0] if rest else Num(coeff)
     return tuple(mono), coeff_expr
 
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viscosym.adjoint import (AdjointSeriesError, _exp_series, adjoint_matrices,
-                              adjoint_matrix, apply_adjoint, audit_adjoint_table,
-                              equivalent, normalize)
-from viscosym.expr import (ExprError, Num, ZERO, ONE, add, diff_atom, func, mul, pow_, sub,
-                           substitute)
+from viscosym.adjoint import (AdjointSeriesError, _entry_evaluator, _exp_series,
+                              adjoint_matrices, adjoint_matrix, apply_adjoint,
+                              audit_adjoint_table, equivalent, normalize)
+from viscosym.expr import (ExprError, Num, ZERO, ONE, add, diff_atom, eval_batch, func, mul,
+                           pow_, sub, substitute)
 from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_rat
 from viscosym.spaces import s
 from viscosym.vector_fields import commutator_table, standard_basis
@@ -92,6 +92,22 @@ class TestCache:
         m4 = adjoint_matrix(4)
         assert m4 is not matrices[3]
         assert m4.entries == matrices[3].entries
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.7, -1.3, math.pi / 2, 123.456, 1e300,
+                                       5e-324])
+    def test_at_is_eval_batch_per_entry(self, matrices, value):
+        for m in matrices + (adjoint_matrix(4),):
+            got = m.at(value)
+            for row, entries in zip(got, m.entries):
+                want = [eval_batch([e], {s: [value]})[0][0] for e in entries]
+                assert [math.copysign(1, v) for v in row] == \
+                    [math.copysign(1, v) for v in want]
+                assert row == want
+
+    def test_at_builds_one_evaluator_per_matrix(self, matrices):
+        m4 = adjoint_matrix(4)
+        assert _entry_evaluator(m4.entries) is _entry_evaluator(matrices[3].entries)
+        assert m4.at(0.5) == matrices[3].at(0.5)
 
 
 class TestExpSeries:
