@@ -33,11 +33,14 @@ Laurent in exactly one of them; it is not when both carry negative powers
 (sin(x)^-2*cos(x)^-2 and sin(x)^-2 + cos(x)^-2 stay two nodes).  That is
 enough to make rotation flows and their group law close symbolically.
 
-Three helpers serve every module that takes trees apart: ``rebuild`` walks
+Four helpers serve every module that takes trees apart: ``rebuild`` walks
 a tree through the canonical constructors with a per-node replacement hook
 (substitution, canonicalization and chart rewrites are all hooks),
-``term_map`` gives a sum's monomials with their rational coefficients, and
-``bind_jets`` composes an equation with concrete dependents and their jets.
+``term_map`` gives a sum's monomials with their rational coefficients,
+``merge_product`` adds the product of two monomials to such a term map
+with the product rules of ``mul`` (a sum built term by term never interns
+its intermediate sums), and ``bind_jets`` composes an equation with
+concrete dependents and their jets.
 Every walk descends through one child enumeration, ``_children``, and visits
 each distinct node once per call, so a hook must be a pure function of the
 node; the derivatives and ``atoms`` do the same.  A canonical node that
@@ -89,7 +92,7 @@ __all__ = [
     "Pow", "Mul", "Add",
     "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS", "OVERFLOW",
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
-    "canonicalize", "rebuild", "term_map", "to_text", "signed_term",
+    "canonicalize", "rebuild", "term_map", "merge_product", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
     "substitute_functions", "bind_jets", "batch_evaluator",
     "eval_batch", "eval_numeric", "equals", "max_abs_sample", "numerator",
@@ -564,21 +567,50 @@ def _distribute(e1: Expr, e2: Expr) -> Expr:
     return parts[0] if len(parts) == 1 else add(*parts)
 
 
+def _joined(f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> tuple[Expr, ...] | None:
+    """The canonical factors of the product of two canonical factor tuples,
+    or None where ``mul`` must build it.  Factors of distinct bases, none of
+    them sin or cos, are already the product's factors: no power merges and
+    no trig rule applies, so they are only sorted (stably, as ``mul`` sorts
+    them)."""
+    factors = f1 + f2
+    bases = {f.base if type(f) is Pow else f for f in factors}
+    if len(bases) < len(factors):
+        return None
+    for base in bases:
+        if type(base) is Func and base.fn in _TRIG:
+            return None
+    return tuple(sorted(factors, key=_factor_key))
+
+
 def _mul_terms(coeff: Rat, f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> Expr:
-    """coeff times two canonical factor tuples.  Factors of distinct bases,
-    none of them sin or cos, are already the canonical product's factors:
-    no power merges and no trig rule applies, so they are only sorted
-    (stably, as ``mul`` sorts them)."""
+    """coeff times two canonical factor tuples."""
     if not f1:
         return _from_term(coeff, f2)
     if not f2:
         return _from_term(coeff, f1)
-    factors = f1 + f2
-    bases = [f.base if type(f) is Pow else f for f in factors]
-    if len(set(bases)) == len(bases) and not any(
-            type(b) is Func and b.fn in _TRIG for b in bases):
-        return _from_term(coeff, tuple(sorted(factors, key=_factor_key)))
+    factors = _joined(f1, f2)
+    if factors is not None:
+        return _from_term(coeff, factors)
     return mul(Num(coeff), _from_term(1, f1), _from_term(1, f2))
+
+
+def merge_product(acc: dict[tuple[Expr, ...], Rat], coeff: Rat,
+                  f1: tuple[Expr, ...], f2: tuple[Expr, ...]) -> None:
+    """Add coeff times the product of two canonical factor tuples to the
+    term map ``acc`` (as ``term_map`` gives it), dropping a monomial whose
+    coefficient cancels.  Where ``_mul_terms`` would only sort the factors,
+    this adds the sorted tuple and builds no node; otherwise the product
+    goes through ``mul``."""
+    factors = _joined(f1, f2) if f1 and f2 else f1 or f2
+    if factors is None:
+        _merge_into(acc, mul(Num(coeff), _from_term(1, f1), _from_term(1, f2)))
+        return
+    newc = acc.get(factors, 0) + coeff
+    if newc == 0:
+        acc.pop(factors, None)
+    else:
+        acc[factors] = newc
 
 
 def _nth_root(n: int, q: int) -> int | None:

@@ -1,6 +1,14 @@
 """Point vector fields on (x, y, t, u, f)-space and the symmetry machinery:
 Lie brackets, structure constants, third prolongation, the invariance
 condition for the viscoelastic equation, and determining-equation extraction.
+
+The general ansatz does not depend on the equation, so its prolonged
+coefficients are built once per process, as they are first asked for, and
+shared by every later determining system.  The invariance condition is
+contracted into a term map (``expr.term_map``'s monomial -> coefficient
+dict) one product of terms at a time (``expr.merge_product``), and the
+determining system goes on shell and splits by u-jet monomials on that
+map; a sum is built only for each finished record.
 """
 
 from __future__ import annotations
@@ -8,12 +16,14 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .expr import (Add, Expr, ExprError, Jet, JetOrderError, Kind, Mul, Num, Pow,
-                   Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets, checked,
-                   diff_atom, join_signed, max_abs_sample, mul, neg, signed_term,
-                   sub, substitute, term_map, to_text, total_derivative)
+from .expr import (Add, Expr, ExprError, Func, Jet, JetOrderError, Kind, Mul, Num,
+                   Pow, Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets,
+                   checked, diff_atom, join_signed, max_abs_sample, merge_product, mul,
+                   neg, pow_, signed_term, sub, substitute, term_map, to_text,
+                   total_derivative)
 from .linalg import solve_exact
 from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
@@ -375,6 +385,20 @@ def _prolonger(v: Generator) -> Callable[[Expr], Expr]:
     return coefficient
 
 
+@functools.cache
+def _ansatz_prolonger() -> tuple[Generator, Callable[[Expr], Expr]]:
+    # the general ansatz does not depend on the equation: one prolonger per
+    # process, whose memo fills as its coefficients are first asked for
+    ansatz = general_ansatz()[0]
+    return ansatz, _prolonger(ansatz)
+
+
+def _coefficients(v: Generator) -> Callable[[Expr], Expr]:
+    """``_prolonger(v)``; for the general ansatz, the one shared prolonger."""
+    ansatz, coefficient = _ansatz_prolonger()
+    return coefficient if v == ansatz else _prolonger(v)
+
+
 def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
     """Prolonged coefficients up to ``order`` (at most 3).
 
@@ -382,14 +406,15 @@ def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
     the infinitesimal coefficient, built with the recursion
     phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u_{J,k}.  This prolongs every
     jet; the invariance condition asks ``_prolonger`` for the residual's
-    jets only.
+    jets only.  The general ansatz does not depend on the equation, so its
+    coefficients are prolonged once per process and shared by every call.
     """
     if order > _PROLONG_ORDER:
         raise JetOrderError(f"prolongation order {order} exceeds the supported "
                             f"order {_PROLONG_ORDER}")
     if order < 0:
         raise ExprError("prolongation order must be nonnegative")
-    coefficient = _prolonger(v)
+    coefficient = _coefficients(v)
     out: dict[Expr, Expr] = {}
     for dep in (u, f):
         out[dep] = coefficient(dep)
@@ -400,21 +425,38 @@ def prolong(v: Generator, order: int) -> dict[Expr, Expr]:
     return out
 
 
-def _raw_invariance(v: Generator, pde: PDEInstance) -> Expr:
-    """Pr^(3)V applied to the residual, before any on-shell substitution.
+_TermMap = dict[tuple[Expr, ...], Fraction | int]
+
+
+def _raw_invariance(v: Generator, pde: PDEInstance) -> _TermMap:
+    """Pr^(3)V applied to the residual, before any on-shell substitution, as
+    a term map: the sum over the residual's atoms of the atom's prolonged
+    coefficient times the residual's derivative by the atom, accumulated
+    one product of terms at a time.
 
     Only the jets the residual mentions (and their prefixes) are prolonged:
     for the viscoelastic equation that is 10 of the 40 coefficients of the
-    full third prolongation."""
-    coefficient = _prolonger(v)
+    full third prolongation.  The general ansatz does not depend on the
+    equation, so its coefficients are prolonged once per process."""
+    coefficient = _coefficients(v)
     xis = {x: v.xi1, y: v.xi2, t: v.xi3}
-    parts = []
+    acc: _TermMap = {}
     for atom in atoms(pde.residual):
         if isinstance(atom, Sym) and atom.kind is Kind.PARAMETER:
             continue
         coeff = xis[atom] if atom in xis else coefficient(atom)
-        parts.append(mul(coeff, diff_atom(pde.residual, atom)))
-    return add(*parts)
+        dterms = term_map(diff_atom(pde.residual, atom)).items()
+        for f1, c1 in term_map(coeff).items():
+            for f2, c2 in dterms:
+                merge_product(acc, c1 * c2, f1, f2)
+    return acc
+
+
+def _term(coeff: Fraction | int, factors: tuple[Expr, ...]) -> Expr:
+    # a sub-tuple of a canonical product's factors is canonical as it stands
+    if len(factors) > 1 or factors and coeff != 1:
+        return Mul(coeff, factors)
+    return factors[0] if factors else Num(coeff)
 
 
 def invariance_residual(v: Generator, pde: PDEInstance | None = None) -> Expr:
@@ -423,7 +465,7 @@ def invariance_residual(v: Generator, pde: PDEInstance | None = None) -> Expr:
     the result stays clean in any unknowns)."""
     if pde is None:
         pde = viscoelastic_pde()
-    raw = _raw_invariance(v, pde)
+    raw = add(*[_term(c, fs) for fs, c in _raw_invariance(v, pde).items()])
     return substitute(raw, {f: pde.solved_form}, descend_unknown_args=False)
 
 
@@ -514,12 +556,7 @@ def _monomial_split(coeff: Fraction, factors: tuple[Expr, ...]
         else:
             rest.append(factor)
     mono.sort(key=lambda pair: _jet_sort_key(pair[0]))
-    # a sub-tuple of a canonical product's factors is canonical as it stands
-    if len(rest) > 1 or rest and coeff != 1:
-        coeff_expr = Mul(coeff, tuple(rest))
-    else:
-        coeff_expr = rest[0] if rest else Num(coeff)
-    return tuple(mono), coeff_expr
+    return tuple(mono), _term(coeff, tuple(rest))
 
 
 def _jet_sort_key(j: Jet):
@@ -529,6 +566,67 @@ def _jet_sort_key(j: Jet):
 def _monomial_key(mono: tuple[tuple[Jet, int], ...]):
     degree = sum(exp for _, exp in mono)
     return (degree, tuple((_jet_sort_key(j), exp) for j, exp in mono))
+
+
+@functools.lru_cache(maxsize=8)
+def _shell_bindings(pde: PDEInstance) -> Mapping[Jet, Expr]:
+    """u_tt by the equation solved for it, and u_xtt, u_ytt by its two
+    differential consequences: the only tt-jets the third prolongation
+    produces.  Built once per equation."""
+    u_tt = Jet(u, (t, t))
+    principal = sub(u_tt, pde.residual)
+    if any(atom == u_tt for atom in atoms(principal)):
+        raise ExprError("residual must be linear in u_tt with coefficient 1")
+    return MappingProxyType({
+        u_tt: principal,
+        Jet(u, (x, t, t)): total_derivative(principal, x),
+        Jet(u, (y, t, t)): total_derivative(principal, y),
+    })
+
+
+def _principal_jet(atom: Expr) -> bool:
+    return (isinstance(atom, Jet) and atom.base == u
+            and sum(ix == t for ix in atom.indices) >= 2)
+
+
+def _on_shell(terms: _TermMap, bindings: Mapping[Jet, Expr]) -> _TermMap:
+    """The term map of ``substitute`` of the sum of ``terms`` by ``bindings``
+    (with opaque-function arguments left untouched), built term by term.
+
+    A bound jet J that is a factor J^k of a term, k a positive integer,
+    multiplies the rest of the term by the terms of its binding's k-th
+    power.  A term that holds a bound jet anywhere else, inside a function
+    argument or under any other power, goes through ``substitute``."""
+    powers: dict[Expr, _TermMap] = {}       # factor J^k -> terms of binding^k
+    holds: dict[Expr, bool] = {}            # factor -> holds a bound jet
+    out: _TermMap = {}
+    for factors, coeff in terms.items():
+        rest: list[Expr] = []
+        multipliers: list[_TermMap] = []
+        for factor in factors:
+            base, k = (factor.base, factor.exp) if type(factor) is Pow else (factor, 1)
+            if base in bindings and type(k) is int and k > 0:
+                if factor not in powers:
+                    powers[factor] = term_map(pow_(bindings[base], k))
+                multipliers.append(powers[factor])
+            else:
+                if type(factor) in (Func, Pow) and factor not in holds:
+                    holds[factor] = any(atom in bindings for atom in atoms(factor))
+                rest.append(factor)
+        if any(holds.get(factor) for factor in rest):
+            shell = substitute(_term(coeff, factors), bindings, descend_unknown_args=False)
+            partial = term_map(shell)
+        else:
+            partial = {tuple(rest): coeff}
+            for multiplier in multipliers:
+                step: _TermMap = {}
+                for f1, c1 in partial.items():
+                    for f2, c2 in multiplier.items():
+                        merge_product(step, c1 * c2, f1, f2)
+                partial = step
+        for fs, c in partial.items():
+            merge_product(out, c, fs, ())
+    return out
 
 
 def determining_equations(pde: PDEInstance | None = None,
@@ -546,27 +644,25 @@ def determining_equations(pde: PDEInstance | None = None,
     vanishes identically.  f-jets of order >= 1, when the ansatz depends on
     f, are kept inside the coefficients rather than in the monomial basis:
     the residual carries no f-derivatives of its own.
+
+    The general ansatz does not depend on the equation, so it is prolonged
+    once per process.  The contraction with the residual, the on-shell
+    substitution and the split all run on term maps (monomial -> rational
+    coefficient), and each record's sum is built once, from its terms.
     """
     if pde is None:
         pde = viscoelastic_pde()
     if ansatz is None:
         ansatz, _ = general_ansatz()
-    residual = _raw_invariance(ansatz, pde)
-    u_tt = Jet(u, (t, t))
-    principal = sub(u_tt, pde.residual)
-    if any(atom == u_tt for atom in atoms(principal)):
-        raise ExprError("residual must be linear in u_tt with coefficient 1")
-    residual = substitute(residual, {
-        u_tt: principal,
-        Jet(u, (x, t, t)): total_derivative(principal, x),
-        Jet(u, (y, t, t)): total_derivative(principal, y),
-    }, descend_unknown_args=False)
-    for atom in atoms(residual):
-        if isinstance(atom, Jet) and atom.base == u \
-                and sum(ix == t for ix in atom.indices) >= 2:
-            raise ExprError(f"unexpected principal-derivative jet {to_text(atom)}")
+    terms = _on_shell(_raw_invariance(ansatz, pde), _shell_bindings(pde))
+    distinct = {factor for factors in terms for factor in factors}
+    if any(_principal_jet(atom) for factor in distinct for atom in atoms(factor)):
+        # name the jet that the on-shell sum meets first
+        residual = add(*[_term(c, fs) for fs, c in terms.items()])
+        jet = next(filter(_principal_jet, atoms(residual)))
+        raise ExprError(f"unexpected principal-derivative jet {to_text(jet)}")
     groups: dict[tuple[tuple[Jet, int], ...], list[Expr]] = {}
-    for factors, coeff in term_map(residual).items():
+    for factors, coeff in terms.items():
         mono, coeff_expr = _monomial_split(coeff, factors)
         groups.setdefault(mono, []).append(coeff_expr)
     records = []

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import viscosym.expr as E
-from viscosym.expr import ONE, ZERO, Add, Num, add, mul, numerator, pow_
+from viscosym.expr import (ONE, ZERO, Add, Num, add, merge_product, mul, numerator, pow_,
+                           term_map)
 from viscosym.spaces import base_space, x, y
 
 SP = base_space()
@@ -43,10 +44,10 @@ def reduce_quotients(e):
     e = E._coerce(e)
     if not isinstance(e, Add):
         return e
-    acc = E.term_map(e)
+    acc = term_map(e)
     for _ in range(_PASS_LIMIT):
         if not _quotient_reduce(acc):
-            return add(*[E._from_term(c, f) for f, c in acc.items()])
+            return add(*[mul(Num(c), *f) for f, c in acc.items()])
     return None
 
 
@@ -70,7 +71,7 @@ def _quotient_reduce(acc: dict) -> bool:
                      for mono in monos if mono in acc]
         if not numerator:
             continue
-        divisor = [E._as_term(term) for term in base.terms]
+        divisor = [(c, fs) for fs, c in term_map(base).items()]
         quotient, remainder = _poly_divide(
             [(c, tuple(fs)) for fs, c in numerator], divisor)
         if quotient is None or not quotient:
@@ -79,13 +80,17 @@ def _quotient_reduce(acc: dict) -> bool:
             acc.pop(mono, None)
         reduced_exp = exp + 1
         for coeff, factors in quotient:
-            E._merge_into(acc, mul(Num(coeff), E._from_term(1, factors) if factors else ONE,
-                                 pow_(base, reduced_exp)))
+            _merge(acc, mul(Num(coeff), *factors, pow_(base, reduced_exp)))
         for coeff, factors in remainder:
-            E._merge_into(acc, mul(Num(coeff), E._from_term(1, factors) if factors else ONE,
-                                 den_factor))
+            _merge(acc, mul(Num(coeff), *factors, den_factor))
         return True
     return False
+
+
+def _merge(acc: dict, e) -> None:
+    """acc += e, on term maps."""
+    for factors, coeff in term_map(e).items():
+        merge_product(acc, coeff, factors, ())
 
 
 def _poly_divide(num: list,
@@ -165,8 +170,7 @@ def _poly_divide(num: list,
             factors = []
             for i, e in enumerate(vec):
                 if e:
-                    fac = pow_(variables[i], e)
-                    out_coeff, fs = E._as_term(fac)
+                    (fs, out_coeff), = term_map(pow_(variables[i], e)).items()
                     c = c * out_coeff
                     factors.extend(fs)
             factors.sort(key=E._factor_key)
