@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, ONE, add, batch_evaluator,
-                   checked, func, mul, pow_, sub, substitute)
+from .expr import (Expr, ExprError, Num, ZERO, ONE, add, batch_evaluator, checked,
+                   diff_atom, func, mul, pow_, rebuild, sub)
 from .linalg import (ExprMat, det_expr, expr_matrix, identity_expr,
                      mat_mul_expr, mat_mul_rat, mat_is_zero)
 from .spaces import s as S_PARAM
@@ -28,9 +28,6 @@ __all__ = [
     "apply_adjoint", "normalize", "equivalent", "PUBLISHED_ADJOINT_TABLE",
 ]
 
-_S2 = Sym("s2", Kind.PARAMETER, 99)   # fresh parameter for the group-law check
-
-
 class AdjointSeriesError(ExprError):
     """The adjoint series neither terminates nor matches the rotation pattern."""
 
@@ -40,8 +37,9 @@ class AdjointMatrix(NamedTuple):
     """Matrix of Ad(exp(s*X_t)) on coefficient vectors in the basis X1..X5.
 
     Entries are exact expressions in the group parameter s.  Construction
-    verifies the one-parameter group laws m(0) = I and m(s)m(s') = m(s+s'),
-    and unimodularity det m(s) = 1 (every ad here is traceless).
+    verifies m(0) = I, a rational slope A = m'(0), the ODE m'(s) = A m(s)
+    (so m = exp(s*A), which obeys the group law) and unimodularity
+    det m(s) = 1 (every ad here is traceless).
     """
 
     t: int
@@ -49,16 +47,14 @@ class AdjointMatrix(NamedTuple):
     labels: tuple[str, ...]
 
     def _check(self):
-        n = len(self.labels)
-        at_zero = [[substitute(e, {S_PARAM: ZERO}) for e in row] for row in self.entries]
-        if expr_matrix(at_zero) != identity_expr(n):
+        if _at_zero(self.entries) != identity_expr(len(self.labels)):
             raise ExprError(f"Ad matrix for t={self.t} is not the identity at s=0")
-        shifted = [[substitute(e, {S_PARAM: add(S_PARAM, _S2)}) for e in row]
-                   for row in self.entries]
-        second = [[substitute(e, {S_PARAM: _S2}) for e in row] for row in self.entries]
-        product = mat_mul_expr(self.entries, expr_matrix(second))
-        if expr_matrix(shifted) != product:
-            raise ExprError(f"Ad matrix for t={self.t} violates the group law")
+        slope = _slope(self.entries)
+        generator = _at_zero(slope)
+        if not all(isinstance(e, Num) for row in generator for e in row):
+            raise ExprError(f"Ad matrix for t={self.t} has a non-rational slope at s=0")
+        if mat_mul_expr(generator, self.entries) != slope:
+            raise ExprError(f"Ad matrix for t={self.t} does not solve m'(s) = m'(0) m(s)")
         if det_expr(self.entries) != ONE:
             raise ExprError(f"Ad matrix for t={self.t} is not unimodular")
 
@@ -67,6 +63,15 @@ class AdjointMatrix(NamedTuple):
         if not math.isfinite(value):
             raise ExprError("adjoint parameter must be finite")
         return _entry_evaluator(self.entries)(value)
+
+
+def _at_zero(m: ExprMat) -> ExprMat:
+    at_zero = {S_PARAM: ZERO}.get
+    return expr_matrix([[rebuild(e, at_zero) for e in row] for row in m])
+
+
+def _slope(m: ExprMat) -> ExprMat:
+    return expr_matrix([[diff_atom(e, S_PARAM) for e in row] for row in m])
 
 
 @functools.lru_cache(maxsize=64)
@@ -128,12 +133,15 @@ def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
 
 
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
-    """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t)."""
+    """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t), checked to have
+    the slope -ad(X_t) at s = 0."""
     if constants is None:
         constants = commutator_table()
     neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
-    entries = _exp_series(neg_ad, S_PARAM)
-    return AdjointMatrix(t, entries, constants.labels)
+    m = AdjointMatrix(t, _exp_series(neg_ad, S_PARAM), constants.labels)
+    if _at_zero(_slope(m.entries)) != expr_matrix([[Num(v) for v in row] for row in neg_ad]):
+        raise ExprError(f"Ad matrix for t={t} is not generated by -ad(X_{t})")
+    return m
 
 
 def adjoint_matrices(constants: StructureConstants | None = None) -> tuple[AdjointMatrix, ...]:

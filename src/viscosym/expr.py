@@ -31,7 +31,7 @@ cos(x)^-3.  (a) and (b) stop where n div 2 or a div 2 exceeds
 every angle in which an expression is polynomial in sin(w) and cos(w), or
 Laurent in exactly one of them; it is not when both carry negative powers
 (sin(x)^-2*cos(x)^-2 and sin(x)^-2 + cos(x)^-2 stay two nodes).  That is
-enough to make rotation flows and their group law close symbolically.
+enough to check rotation flows against their flow equation symbolically.
 
 Four helpers serve every module that takes trees apart: ``rebuild`` walks
 a tree through the canonical constructors with a per-node replacement hook

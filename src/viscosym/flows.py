@@ -10,16 +10,15 @@ flow lives on the base space.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Kind, Num, Sym, ZERO, add, checked, diff_atom,
-                   eval_batch, func, mul, rebuild, sub, substitute, to_text)
+from .expr import (Expr, ExprError, Num, ZERO, add, checked, diff_atom, eval_batch, func,
+                   mul, rebuild, sub, to_text)
 from .spaces import eps as EPS
 from .spaces import t, x, y
 from .vector_fields import Generator
-
-_DELTA = Sym("delta", Kind.PARAMETER, 97)   # second parameter for the group law
 
 __all__ = ["FlowMap", "FlowSample", "NonAffineError", "MAX_EPS_SAMPLES", "flow_map",
            "sample_flow", "samples_to_csv"]
@@ -35,9 +34,10 @@ class NonAffineError(ExprError):
 
 @checked
 class FlowMap(NamedTuple):
-    """Exact flow (x(eps), y(eps), t(eps)) of a generator; eps = 0 is the
-    identity and composition adds parameters (checked at construction using
-    the kernel's trig rewrites)."""
+    """Exact flow (x(eps), y(eps), t(eps)) of a generator.  Construction
+    checks, as kernel identities, that eps = 0 gives the identity and that
+    d/deps (x, y, t)_eps = (xi1, xi2, xi3) at (x, y, t)_eps: by uniqueness
+    of ODE solutions, only the generator's own flow passes both."""
 
     generator: Generator
     x_eps: Expr
@@ -45,13 +45,15 @@ class FlowMap(NamedTuple):
     t_eps: Expr
 
     def _check(self):
+        at_zero = {EPS: ZERO}.get
         for coord, comp in zip((x, y, t), self.components):
-            if substitute(comp, {EPS: ZERO}) != coord:
+            if rebuild(comp, at_zero) != coord:
                 raise ExprError("flow is not the identity at eps = 0")
-        composed = self.compose(self, _DELTA)
-        added = tuple(substitute(c, {EPS: add(EPS, _DELTA)}) for c in self.components)
-        if composed != added:
-            raise ExprError("flow violates the composition law")
+        at_eps = {x: self.x_eps, y: self.y_eps, t: self.t_eps}.get
+        gen = self.generator
+        for comp, xi in zip(self.components, (gen.xi1, gen.xi2, gen.xi3)):
+            if diff_atom(comp, EPS) != rebuild(xi, at_eps):
+                raise ExprError("flow does not solve the flow equation of its generator")
 
     @property
     def components(self) -> tuple[Expr, Expr, Expr]:
@@ -60,14 +62,6 @@ class FlowMap(NamedTuple):
     def at(self, seed: Sequence[float], eps_value: float) -> tuple[float, float, float]:
         columns = {x: [seed[0]], y: [seed[1]], t: [seed[2]], EPS: [eps_value]}
         return tuple(values[0] for values in eval_batch(self.components, columns))
-
-    def compose(self, other: "FlowMap", second_param: Expr) -> tuple[Expr, Expr, Expr]:
-        """Components of self_eps after other_{second_param}: a simultaneous
-        coordinate substitution (the map's components mention each other, so
-        this bypasses the public substitute's cycle guard)."""
-        inner = dict(zip((x, y, t),
-                         (substitute(c, {EPS: second_param}) for c in other.components)))
-        return tuple(rebuild(c, inner.get) for c in self.components)
 
 
 def _affine_parts(coeff: Expr, label: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -147,15 +141,18 @@ def sample_flow(fm: FlowMap, seeds: Sequence[Sequence[float]],
         raise ExprError("eps range needs lo < hi")
     eps_values = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
     # one batch over every (seed, eps) point, seed by seed
+    seed_ids = []
     columns = {x: [], y: [], t: [], EPS: eps_values * len(seeds)}
-    for seed in seeds:
+    for seed_id, seed in enumerate(seeds):
+        seed_ids += [seed_id] * n
         for k, coord in enumerate((x, y, t)):
             columns[coord] += [seed[k]] * n
     xs, ys, ts = eval_batch(fm.components, columns)
     if project_xy:
         ts = [None] * len(ts)
-    return [FlowSample(k // n, eps_value, px, py, pt)
-            for k, (eps_value, px, py, pt) in enumerate(zip(columns[EPS], xs, ys, ts))]
+    # rows are built in C: a NamedTuple's own __new__ is a Python call per row
+    return list(map(functools.partial(tuple.__new__, FlowSample),
+                    zip(seed_ids, columns[EPS], xs, ys, ts)))
 
 
 def samples_to_csv(samples: Iterable[FlowSample]) -> str:

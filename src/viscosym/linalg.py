@@ -58,9 +58,10 @@ def solve_exact(rows: Sequence[Sequence[Fraction]],
 
 
 def mat_mul_rat(m1: RatMat, m2: RatMat) -> RatMat:
-    n, k, p = len(m1), len(m2), len(m2[0])
-    return [[sum((m1[i][j] * m2[j][c] for j in range(k)), Fraction(0))
-             for c in range(p)] for i in range(n)]
+    """The product, as Fractions; a zero entry of m1 contributes no term."""
+    columns = list(zip(*m2))
+    return [[sum((p * q for p, q in zip(row, col) if p), Fraction(0)) for col in columns]
+            for row in m1]
 
 
 def mat_is_zero(m: RatMat) -> bool:
@@ -76,9 +77,11 @@ def identity_expr(n: int) -> ExprMat:
 
 
 def mat_mul_expr(m1: ExprMat, m2: ExprMat) -> ExprMat:
-    n, k, p = len(m1), len(m2), len(m2[0])
-    return tuple(tuple(add(*[mul(m1[i][j], m2[j][c]) for j in range(k)])
-                       for c in range(p)) for i in range(n))
+    """The product; a zero entry contributes no term, so sparse factors are cheap."""
+    columns = list(zip(*m2))
+    return tuple(tuple(add(*[mul(p, q) for p, q in zip(row, col)
+                             if p is not ZERO and q is not ZERO])
+                       for col in columns) for row in m1)
 
 
 def det_expr(m: ExprMat) -> Expr:

@@ -120,14 +120,11 @@ def standard_basis() -> tuple[Generator, ...]:
 
 
 def basis_combination(coeffs: Sequence) -> Generator:
-    """Rational linear combination of the standard basis."""
-    basis = standard_basis()
-    out = Generator()
-    for coeff, gen in zip(coeffs, basis):
-        coeff = Fraction(coeff)
-        if coeff != 0:
-            out = out + gen.scaled(Num(coeff))
-    return out
+    """Rational linear combination of the standard basis, built and checked
+    as one Generator."""
+    terms = [(Num(Fraction(coeff)), gen) for coeff, gen in zip(coeffs, _standard_basis())]
+    return Generator(*[add(*[mul(c, gen.coefficients[k]) for c, gen in terms if c != ZERO])
+                       for k in range(5)])
 
 
 _LABELS = ("X1", "X2", "X3", "X4", "X5")

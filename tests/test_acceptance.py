@@ -65,7 +65,8 @@ def test_criterion_3_adjoint_consistency():
     """Ad(0) = I, group law and d/ds|0 = -ad as symbolic identities; the
     rotation row matches the published table; the audit flags exactly the
     four X1/X2 cells."""
-    matrices = adj.adjoint_matrices()   # construction checks Ad(0)=I, group law, det=1
+    # construction checks Ad(0) = I, Ad' = Ad'(0) Ad (so the group law) and det = 1
+    matrices = adj.adjoint_matrices()
     constants = vf.commutator_table()
     for m in matrices:
         ad_matrix = constants.adjoint_action(m.t)

@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viscosym.adjoint import (AdjointSeriesError, _entry_evaluator, _exp_series,
-                              adjoint_matrices, adjoint_matrix, apply_adjoint,
+from viscosym import adjoint
+from viscosym.adjoint import (AdjointMatrix, AdjointSeriesError, _entry_evaluator,
+                              _exp_series, adjoint_matrices, adjoint_matrix, apply_adjoint,
                               audit_adjoint_table, equivalent, normalize)
-from viscosym.expr import (ExprError, Num, ZERO, ONE, add, diff_atom, eval_batch, func, mul,
-                           pow_, sub, substitute)
-from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_rat
-from viscosym.spaces import s
+from viscosym.expr import (ExprError, Kind, Num, Sym, ZERO, ONE, add, diff_atom, eval_batch,
+                           func, mul, neg, pow_, sub, substitute)
+from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_expr, mat_mul_rat
+from viscosym.spaces import s, x
 from viscosym.vector_fields import commutator_table, standard_basis
 
 
@@ -127,6 +128,27 @@ class TestExpSeries:
         assert _exp_series(a, s) == _reference_exp_series(a, s)
 
 
+class TestMatrixProducts:
+    """The products skip zero entries; dense triple loops are the reference."""
+
+    def test_sparse_products_match_dense_loops(self):
+        rng = random.Random(7)
+        pool = [0, 0, 0, 1, -1, Fraction(3, 2)]
+        for n, k, p in [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 2, 3)]:
+            a = [[Fraction(rng.choice(pool)) for _ in range(k)] for _ in range(n)]
+            b = [[Fraction(rng.choice(pool)) for _ in range(p)] for _ in range(k)]
+            dense = [[sum((a[i][j] * b[j][c] for j in range(k)), Fraction(0))
+                      for c in range(p)] for i in range(n)]
+            got = mat_mul_rat(a, b)
+            assert got == dense
+            assert all(type(v) is Fraction for row in got for v in row)
+            ea = expr_matrix([[mul(Num(v), func("sin", s)) for v in row] for row in a])
+            eb = expr_matrix([[add(Num(v), s) if v else ZERO for v in row] for row in b])
+            assert mat_mul_expr(ea, eb) == tuple(
+                tuple(add(*[mul(ea[i][j], eb[j][c]) for j in range(k)]) for c in range(p))
+                for i in range(n))
+
+
 class TestMatrices:
     def test_rotation_block(self, matrices):
         m4 = matrices[3].entries
@@ -183,6 +205,53 @@ class TestMatrices:
     def test_bad_index(self):
         with pytest.raises(Exception, match="out of range"):
             adjoint_matrix(6)
+
+
+_S2 = Sym("s2", Kind.PARAMETER, 99)   # second group parameter of the oracle
+
+
+class TestGeneratingODE:
+    """Construction checks m(0) = I and m' = m'(0) m; ``adjoint_matrix``
+    also checks m'(0) = -ad(X_t).  The group law is the oracle."""
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_group_law_oracle(self, matrices, t):
+        entries = matrices[t - 1].entries
+        shifted = [[substitute(e, {s: add(s, _S2)}) for e in row] for row in entries]
+        second = [[substitute(e, {s: _S2}) for e in row] for row in entries]
+        assert expr_matrix(shifted) == mat_mul_expr(entries, expr_matrix(second))
+
+    def test_reversed_parameter_is_rejected(self, monkeypatch):
+        # m(-s) = exp(s * ad) is a one-parameter group with m(0) = I, so only
+        # the slope test against -ad(X_4) tells it apart
+        exp_series = adjoint._exp_series
+        monkeypatch.setattr(adjoint, "_exp_series", lambda a, param: exp_series(a, neg(param)))
+        reversed_entries = adjoint._exp_series(
+            [[-v for v in row] for row in commutator_table().adjoint_action(4)], s)
+        AdjointMatrix(4, reversed_entries, commutator_table().labels)   # its own ODE holds
+        with pytest.raises(ExprError, match="not generated by -ad"):
+            adjoint_matrix(4)
+
+    def test_not_identity_at_zero(self, matrices):
+        entries = matrices[3].entries
+        bumped = ((add(entries[0][0], ONE),) + entries[0][1:],) + entries[1:]
+        with pytest.raises(ExprError, match="identity at s=0"):
+            AdjointMatrix(4, bumped, matrices[3].labels)
+
+    def test_non_rational_slope(self, matrices):
+        entries = matrices[3].entries
+        bent = ((add(ONE, mul(x, s)),) + entries[0][1:],) + entries[1:]
+        with pytest.raises(ExprError, match="non-rational slope"):
+            AdjointMatrix(4, bent, matrices[3].labels)
+
+    def test_wrong_speed_is_rejected(self, matrices):
+        # cos(2s), sin(2s) is the identity at 0 with a rational slope, but
+        # solves m' = m'(0) m only together with the matching entries
+        entries = [list(row) for row in matrices[3].entries]
+        entries[0][0] = func("cos", mul(Num(2), s))
+        entries[0][1] = func("sin", mul(Num(2), s))
+        with pytest.raises(ExprError, match="does not solve"):
+            AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
 
 
 class TestAudit:

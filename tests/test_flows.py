@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from viscosym.expr import ExprError, ZERO, add, eval_numeric, pow_, sub, substitute
-from viscosym.flows import (MAX_EPS_SAMPLES, FlowSample, NonAffineError, flow_map,
+from viscosym.expr import (ExprError, Kind, Sym, ZERO, add, eval_numeric, pow_, rebuild,
+                           sub, substitute)
+from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError, flow_map,
                             sample_flow, samples_to_csv)
 from viscosym.spaces import base_space, eps, t, x, y
 from viscosym.vector_fields import Generator, parse_basis_combination, standard_basis
@@ -81,6 +82,49 @@ class TestFlowMap:
             flow_map(Generator(xi1=y))
 
 
+_DELTA = Sym("delta", Kind.PARAMETER, 97)   # second flow parameter of the oracle
+
+
+def _obeys_composition_law(components):
+    """phi_eps after phi_delta equals phi_(eps + delta), symbolically; the
+    components are substituted simultaneously, since they mention each
+    other's coordinates."""
+    inner = dict(zip((x, y, t), (substitute(c, {eps: _DELTA}) for c in components)))
+    composed = tuple(rebuild(c, inner.get) for c in components)
+    return composed == tuple(substitute(c, {eps: add(eps, _DELTA)}) for c in components)
+
+
+class TestFlowEquation:
+    """Construction checks the identity at eps = 0 and the flow equation
+    d/deps phi = xi(phi); the composition law is the oracle."""
+
+    # one representative of each class of the optimal system, off-center
+    # rotations included
+    @pytest.mark.parametrize("label", ["X1 + 2*X3 - X5", "X2 - X3/2 + 3*X5",
+                                       "X4 + X1 + 2*X2 + X3 - X5", "X3 + 2*X5", "X5"])
+    def test_composition_law_oracle(self, label):
+        assert _obeys_composition_law(flow_map(parse_basis_combination(label)).components)
+
+    def test_wrong_direction_rotation_is_rejected(self, basis):
+        with pytest.raises(ExprError, match="flow equation"):
+            FlowMap(basis[3], BASE.parse("x*cos(eps) - y*sin(eps)"),
+                    BASE.parse("y*cos(eps) + x*sin(eps)"), t)
+
+    def test_double_speed_translation_is_rejected(self, basis):
+        with pytest.raises(ExprError, match="flow equation"):
+            FlowMap(basis[0], BASE.parse("x + 2*eps"), y, t)
+
+    def test_identity_at_zero_is_required(self, basis):
+        with pytest.raises(ExprError, match="identity at eps = 0"):
+            FlowMap(basis[0], BASE.parse("x + eps + 1"), y, t)
+
+    def test_rejected_maps_are_one_parameter_groups(self):
+        # the composition law alone cannot tell them from the true flows
+        assert _obeys_composition_law((BASE.parse("x*cos(eps) - y*sin(eps)"),
+                                       BASE.parse("y*cos(eps) + x*sin(eps)"), t))
+        assert _obeys_composition_law((BASE.parse("x + 2*eps"), y, t))
+
+
 class TestSampling:
     def test_unit_circle(self, basis):
         fm = flow_map(basis[3])
@@ -104,6 +148,22 @@ class TestSampling:
         fm = flow_map(basis[0])
         samples = sample_flow(fm, [(0.0, 0.0, 0.0)], (0.0, 1.0, 2))
         assert [(s.x, s.y, s.t) for s in samples] == [(0, 0, 0), (1, 0, 0)]
+
+    @pytest.mark.parametrize("project_xy", [False, True])
+    def test_rows_match_one_constructor_call_per_row(self, basis, project_xy):
+        fm = flow_map(basis[3] + basis[0])
+        seeds = [(0.3, -1.2, 0.7), (2.0, 0.0, -1.0), (-0.5, 0.25, 3.0)]
+        samples = sample_flow(fm, seeds, (-1.0, 2.5, 7), project_xy=project_xy)
+        reference = []
+        for seed_id, seed in enumerate(seeds):
+            for k in range(7):
+                value = -1.0 + 3.5 * k / 6
+                px, py, pt = fm.at(seed, value)
+                reference.append(FlowSample(seed_id, value, px, py,
+                                            None if project_xy else pt))
+        assert samples == reference
+        assert all(type(sample) is FlowSample for sample in samples)
+        assert samples[8].seed_id == 1 and samples[8].x == reference[8].x
 
     def test_projection_drops_t(self, basis):
         fm = flow_map(basis[3])

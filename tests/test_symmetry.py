@@ -12,8 +12,8 @@ from viscosym.expr import (ExprError, Jet, JetOrderError, Kind, Num, Sym,
                            max_abs_sample, mul, sub, substitute,
                            substitute_functions, to_text, total_derivative)
 from viscosym.spaces import a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
-from viscosym.vector_fields import (Generator, NotClosedError, PDEInstance, bracket,
-                                    commutator_table, determining_equations,
+from viscosym.vector_fields import (Generator, NotClosedError, PDEInstance,
+                                    basis_combination, bracket, commutator_table, determining_equations,
                                     function_shift_generator, general_ansatz,
                                     invariance_residual, monomial_text,
                                     parse_basis_combination, prolong,
@@ -251,6 +251,20 @@ class TestCombinations:
     def test_rejects_nonlinear(self):
         with pytest.raises(Exception, match="linear"):
             parse_basis_combination("X1*X2")
+
+    def test_basis_combination_matches_the_generator_sum(self, basis):
+        # the reference folds scaled basis generators with Generator.__add__
+        rng = random.Random(11)
+        pool = [0, 0, 1, -1, Fraction(2, 3), -2.5, 0.1]
+        for _ in range(50):
+            coeffs = [rng.choice(pool) for _ in range(5)]
+            reference = Generator()
+            for coeff, gen in zip(coeffs, basis):
+                if Fraction(coeff) != 0:
+                    reference = reference + gen.scaled(Num(Fraction(coeff)))
+            got = basis_combination(coeffs)
+            assert got == reference
+            assert all(p is q for p, q in zip(got.coefficients, reference.coefficients))
 
     def test_compose(self, pde, space):
         # by hand: u_xxt = 2, u_xx = 2*t, u_yy = -sin(y), u_tt = u_yyt = 0
