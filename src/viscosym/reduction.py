@@ -18,6 +18,7 @@ x^2 + y^2 = xi; folding y^2 -> xi - x^2 removes them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -270,20 +271,10 @@ class ReductionReport(NamedTuple):
     passed: bool
 
 
-# (i, j) of xi^i * eta^j, dense through degree 4, in the order the random
-# coefficients are drawn
+# (i, j) of xi^i eta^j through degree 4, in the order h's and g's c_ij are drawn
 _EXPONENTS = tuple((i, j) for i in range(5) for j in range(5 - i))
 _BASE = (x, y, t)            # a multi-index counts derivatives along each
 _ORIGIN = (0, 0, 0)
-
-
-def _random_coefficients(rng: random.Random) -> list[int]:
-    """Coefficients over _EXPONENTS of a random bivariate polynomial: one
-    ``randint(-3, 3)`` per monomial, plus 1 on the constant to keep it
-    nonzero."""
-    coeffs = [rng.randint(-3, 3) for _ in _EXPONENTS]
-    coeffs[_EXPONENTS.index((0, 0))] += 1
-    return coeffs
 
 
 def _below(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -324,107 +315,109 @@ def _leibniz(fs: dict, gs: dict, alphas: Iterable[tuple[int, ...]]) -> dict:
     return out
 
 
-def _dot(weights: list[int], row: tuple[float, ...]) -> float:
+def _dots(weights: list, rows: list) -> list[float]:
+    """Per point the ``math.fsum`` of weights * row, mapped in C; nan where a
+    partial sum leaves the double range or is inf - inf."""
     try:
-        return math.fsum(map(operator.mul, weights, row))
-    except (OverflowError, ValueError):     # a partial sum beyond the range, or inf - inf
-        return math.nan
+        return list(map(math.fsum, map(map, itertools.repeat(operator.mul), weights, rows)))
+    except (OverflowError, ValueError):
+        return [math.nan if len(rows) == 1 else _dots([w], [r])[0] for w, r in zip(weights, rows)]
 
 
-def _weighted(columns: list, weights: list[list[int]], n_points: int,
-              failed: dict[int, EvalError]) -> list[float]:
-    """Per point, the ``math.fsum`` of w_k * columns[k] over the columns that
-    are not exact zeros, w the weights of the point's function; a point whose
-    sum is not finite fails with the overflow error."""
-    keep = [k for k, column in enumerate(columns) if column is not None]
-    picked = [[w[k] for k in keep] for w in weights]
-    rows = zip(*[columns[k] for k in keep]) if keep else [()] * (n_points * len(weights))
-    out = list(map(_dot, [w for w in picked for _ in range(n_points)], rows))
-    for p in [p for p, value in enumerate(out) if not math.isfinite(value)]:
+def _flagged(column: list[float], failed: dict[int, EvalError]) -> list[float]:
+    """``column``; a point where it is not finite fails with the overflow error."""
+    for p in [p for p, value in enumerate(column) if not math.isfinite(value)]:
         failed.setdefault(p, EvalError(OVERFLOW))
-    return out
+    return column
 
 
 def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
                      reduced: ReducedPDE | Expr, *, seed: int = 0,
                      n_functions: int = 10, n_points: int = 20,
                      tol: float = 1e-7) -> ReductionReport:
-    """Numeric cross-check of a reduction candidate.
+    """Numeric cross-check of a reduction candidate: the largest |original
+    residual at x0 with u = h(xi, eta), f = g(xi, eta) - candidate at the
+    chart's image (xi0, eta0)| over random polynomial h, g and points x0;
+    rounding noise of 0 to 1e-10 for a correct reduction.
 
-    For random polynomial h, g: evaluate the original residual with
-    u = h(xi(x,y,t), eta(x,y,t)), f = g(...) (all derivatives by the chain
-    rule) at random base points, and the candidate residual at the mapped
-    (xi, eta) points; report the largest absolute discrepancy, rounding
-    noise of 1e-14 to 1e-10 for a correct reduction.
-
-    The chain rule runs in forward mode on jet tables, which hold D^beta of
-    a function at every point for each multi-index beta over (x, y, t) at
-    or below a u- or f-jet of the residual.  Each D^beta xi and D^beta eta
-    is derived symbolically once, from its prefix; an exact zero is never
-    evaluated, so a linear chart's higher jets cost nothing.  The Leibniz
-    rule gives the tables of the 15 monomials M_k = xi^i * eta^j.  For
-    h = sum c_k M_k a u-jet is the ``math.fsum`` of c_k D^beta M_k (g and
-    the f-jets alike), and the residual is evaluated on those values.  A
-    candidate jet D_xi^p D_eta^q h is the sum of c_k perm(i, p) perm(j, q)
-    xi^(i-p) eta^(j-q), and the candidate, which need not be linear, is
-    evaluated on them.  ``random.Random(seed)`` draws, per function, 15
-    ``randint(-3, 3)`` for h, 15 for g, then per point ``uniform(0.6, 2.0)``
-    for x, y, t and ``uniform(0.5, 2.0)`` for a, b.  The earliest failing
-    point raises the error of the original side (the chart's jets, a jet
-    beyond the double range, the residual), else of the candidate's jets,
-    else of the candidate.
+    The chain rule runs in forward mode on Taylor coefficients (Griewank and
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13).  h = sum of
+    c_ij xi^i eta^j has degree 4, so its expansion at (xi0, eta0) is exact,
+    h = sum of T_pq (xi - xi0)^p (eta - eta0)^q with T_pq = sum of
+    c_ij C(i, p) C(j, q) xi0^(i-p) eta0^(j-q), and D^beta of a centred
+    power vanishes at x0 for p + q > |beta|.  So D^beta u is the sum of
+    T_pq D^beta[(xi - xi0)^p (eta - eta0)^q] over p + q <= |beta| (u is
+    T_00), and the candidate's D_xi^p D_eta^q h is p! q! T_pq (g and the
+    f-jets alike).  Each T_pq is one ``math.fsum`` per point, shared by both
+    sides.  The centred powers' jets come by the Leibniz rule from D^beta xi
+    and D^beta eta, each derived symbolically once, from its prefix; an
+    exact zero is never evaluated.  ``random.Random(seed)`` draws, per
+    function, 15 ``randint(-3, 3)`` for h (plus 1 on c_00), 15 for g, then
+    per point ``uniform(0.6, 2.0)`` for x, y, t and ``uniform(0.5, 2.0)`` for
+    a, b.  The earliest failing point raises the error of the original side
+    (the chart's jets, a jet beyond the double range, the residual), else of
+    the candidate's jets, else of the candidate.
     """
     candidate = reduced.residual if isinstance(reduced, ReducedPDE) else reduced
     rng = random.Random(seed)
     hs, gs, points = [], [], []
     for _ in range(n_functions):
-        hs.append(_random_coefficients(rng))
-        gs.append(_random_coefficients(rng))
+        for ws in (hs, gs):             # c_ij in the order of _EXPONENTS, c_00 first
+            ws.append([rng.randint(-3, 3) + (k == 0) for k in range(len(_EXPONENTS))])
         points += [[rng.uniform(0.6, 2.0) for _ in "xyt"] + [rng.uniform(0.5, 2.0) for _ in "ab"]
                    for _ in range(n_points)]
-    weights = {u: hs, f: gs, H_DEP: hs, G_DEP: gs}
     px, py, pt, pa, pb = zip(*points) if points else [()] * 5
     columns = {x: px, y: py, t: pt, A_SYM: pa, B_SYM: pb}
-    # per point the original side, the candidate's jets, then the candidate;
-    # the earliest point with a failure raises the first of them
+    # per point: original jets, residual, candidate jets, candidate; the first of them raises
     failed: list[dict[int, EvalError]] = [{}, {}, {}, {}]
-    # the residual's u- and f-jets as multi-indices (a bare u or f at the
-    # origin), and every multi-index below them, each after its prefix
+    # the residual's u- and f-jets as multi-indices, and all below them by order
     jets = {atom: (atom, _ORIGIN) if isinstance(atom, Sym) else
             (atom.base, tuple(map(atom.indices.count, _BASE)))
             for atom in atoms(pde.residual) if _is_base_atom(atom) and atom not in _BASE}
     betas = sorted({_ORIGIN}.union(*(_below(beta) for _, beta in jets.values())),
                    key=lambda beta: (sum(beta), beta))
-    one = dict.fromkeys(betas)
-    one[_ORIGIN] = [1.0] * len(points)
-    powers = [[one, table] for table in _chart_tables(chart, betas, columns, failed[0])]
-    for _ in range(3):                  # xi^i and eta^j through degree 4, in full
+    tops, order = {beta for _, beta in jets.values()}, sum(betas[-1])
+    xis, etas = _chart_tables(chart, betas, columns, failed[0])
+    xi0, eta0 = xis[_ORIGIN], etas[_ORIGIN]
+    # (xi - xi0)^p (eta - eta0)^q; the mixed and highest ones at the residual's jets only
+    one = {**dict.fromkeys(betas), _ORIGIN: [1.0] * len(points)}
+    powers = [[one, {**table, _ORIGIN: None}] for table in (xis, etas)]
+    for p in range(2, order + 1):
         for pows in powers:
-            pows.append(_leibniz(pows[-1], pows[1], betas))
-    # a mixed product is read only at the residual's jets and, by the
-    # candidate, at the origin
-    mixed = {_ORIGIN, *(beta for _, beta in jets.values())}
-    monomials = [powers[1][j] if i == 0 else powers[0][i] if j == 0 else
-                 _leibniz(powers[0][i], powers[1][j], mixed) for i, j in _EXPONENTS]
+            pows.append(_leibniz(pows[-1], pows[1], betas if p < order else tops))
+    centred = {(p, q): powers[1][q] if p == 0 else powers[0][p] if q == 0 else
+               _leibniz(powers[0][p], powers[1][q], tops)
+               for p in range(order + 1) for q in range(order + 1 - p)}
+    plain = {(0, 0): one[_ORIGIN]}                       # xi0^i eta0^j
+    for i, j in _EXPONENTS[1:]:
+        plain[i, j] = list(map(operator.mul, *((plain[i, j - 1], eta0) if j else
+                                               (plain[i - 1, 0], xi0))))
+
+    @functools.cache
+    def taylor(of_h: bool, p: int, q: int) -> list[float]:
+        # T_pq at every point, once per weight table: hs for u and h, gs for f and g
+        kept = [(k, math.comb(i, p) * math.comb(j, q), plain[i - p, j - q])
+                for k, (i, j) in enumerate(_EXPONENTS) if i >= p and j >= q]
+        picked = [[w[k] * c for k, c, _ in kept] for w in (hs if of_h else gs)]
+        return _dots([w for w in picked for _ in range(n_points)],
+                     list(zip(*[column for _, _, column in kept])))
+
     for atom, (dep, beta) in jets.items():
-        columns[atom] = _weighted([m[beta] for m in monomials], weights[dep],
-                                  n_points, failed[0])
+        pairs = [(taylor(dep == u, p, q), table[beta]) for (p, q), table in centred.items()
+                 if p + q <= sum(beta) and table[beta] is not None]
+        ts, ds = zip(*pairs) if pairs else ([[0.0] * len(points)],) * 2
+        columns[atom] = _flagged(_dots(list(zip(*ts)), list(zip(*ds))), failed[0])
     (lhs,) = eval_batch([pde.residual], columns, errors=failed[1])
 
-    # D_xi^p D_eta^q (xi^i eta^j) = perm(i, p) perm(j, q) xi^(i-p) eta^(j-q)
-    plain = dict(zip(_EXPONENTS, (m[_ORIGIN] for m in monomials)))
-    columns = {XI: plain[1, 0], ETA: plain[0, 1], A_SYM: pa, B_SYM: pb}
+    columns = {XI: xi0, ETA: eta0, A_SYM: pa, B_SYM: pb}
     for atom in atoms(candidate):
         dep, indices = (atom.base, atom.indices) if isinstance(atom, Jet) else (atom, ())
         if dep in (H_DEP, G_DEP):
             p, q = indices.count(XI), indices.count(ETA)
-            # 0 along any other variable, which a polynomial in (xi, eta) lacks
-            scales = [math.perm(i, p) * math.perm(j, q) * (p + q == len(indices))
-                      for i, j in _EXPONENTS]
-            columns[atom] = _weighted(
-                [plain[i - p, j - q] if scale else None
-                 for (i, j), scale in zip(_EXPONENTS, scales)],
-                [list(map(operator.mul, w, scales)) for w in weights[dep]], n_points, failed[2])
+            # 0 along any other variable, and beyond degree 4, which h and g lack
+            col = taylor(dep == H_DEP, p, q) if p + q == len(indices) <= 4 else [0.0] * len(points)
+            scale = math.factorial(p) * math.factorial(q)
+            columns[atom] = _flagged([scale * v for v in col], failed[2])
     (rhs,) = eval_batch([candidate], columns, errors=failed[3])
     failing = set().union(*failed)
     if failing:
@@ -455,19 +448,23 @@ _PUBLISHED_ROWS = (
 
 
 def published_similarity_rows() -> tuple[tuple[str, Expr, Expr], ...]:
-    """The published similarity-variable rows: (generator, xi, eta); the
-    dependent-variable columns are u = h(xi, eta) and f = g(xi, eta) in
-    every row."""
-    sp = base_space()
-    return tuple((label, sp.parse(xi_text), sp.parse(eta_text))
-                 for label, xi_text, eta_text, _ in _PUBLISHED_ROWS)
+    """The published similarity-variable rows (generator, xi, eta), with
+    u = h(xi, eta) and f = g(xi, eta) in every row; parsed once per process."""
+    return _published()[0]
 
 
 def published_reduction_rows() -> tuple[tuple[str, Expr], ...]:
     """The five published reduced equations (rows 1-3 are printed
-    identically), parsed over (xi, eta)."""
-    sp = reduced_space()
-    return tuple((label, sp.parse(text)) for label, _, _, text in _PUBLISHED_ROWS)
+    identically), parsed over (xi, eta) once per process."""
+    return _published()[1]
+
+
+@functools.cache
+def _published() -> tuple[tuple[tuple[str, Expr, Expr], ...], tuple[tuple[str, Expr], ...]]:
+    base, reduced = base_space(), reduced_space()
+    return (tuple((label, base.parse(xi_text), base.parse(eta_text))
+                  for label, xi_text, eta_text, _ in _PUBLISHED_ROWS),
+            tuple((label, reduced.parse(text)) for label, _, _, text in _PUBLISHED_ROWS))
 
 
 class ReductionAuditRow(NamedTuple):

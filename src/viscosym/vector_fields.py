@@ -209,28 +209,20 @@ def bracket(v: Generator, w: Generator) -> Generator:
 
 
 def express_in_span(target: Generator, basis: Sequence[Generator]) -> list[Fraction] | None:
-    """Exact coordinates of ``target`` in ``basis``, or None if outside the span."""
+    """Exact coordinates of ``target`` in ``basis``, or None if outside the span.
+
+    Each slot is matched monomial by monomial on term maps, the canonical
+    form of a sum, so the exact solve alone decides membership; its reduced
+    row echelon form, and so its answer, does not depend on the row order."""
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for slot in range(5):
         basis_maps = [term_map(gen.coefficients[slot]) for gen in basis]
         target_map = term_map(target.coefficients[slot])
-        monomials = set(target_map)
-        for bm in basis_maps:
-            monomials.update(bm)
-        for mono in sorted(monomials, key=repr):
+        for mono in set(target_map).union(*basis_maps):
             rows.append([bm.get(mono, Fraction(0)) for bm in basis_maps])
             rhs.append(target_map.get(mono, Fraction(0)))
-    coeffs = solve_exact(rows, rhs)
-    if coeffs is None:
-        return None
-    recombined = Generator()
-    for coeff, gen in zip(coeffs, basis):
-        recombined = recombined + gen.scaled(Num(coeff))
-    if any(sub(p, q) != ZERO for p, q in
-           zip(recombined.coefficients, target.coefficients)):
-        return None
-    return coeffs
+    return solve_exact(rows, rhs)
 
 
 @checked

@@ -407,11 +407,35 @@ class TestVerificationIdentity:
             self.check(other, chart, REDUCED.parse(text), seed, correct=False)
 
 
+class TestNearMisses:
+    """A candidate that is off by 1e-6 of one term fails on every chart kind,
+    by the discrepancy that composing each random function directly gives.
+    The two differ only by rounding: each route leaves noise of up to 1e-11
+    on a discrepancy of 5e-6 to 3e-3, a relative gap of about 1e-8, so they
+    agree to within 1e-7 relative."""
+
+    @pytest.mark.parametrize("label", ["X1 + X3", "X4", "X4 + 2*X3"],
+                             ids=["linear", "rotation", "rotation-time"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_near_miss_fails_by_the_reference_discrepancy(self, pde, label, seed):
+        chart = characteristic_invariants(parse_basis_combination(label))
+        reduced = reduce_pde(pde, chart).residual
+        small = Num(Fraction(1, 10**6))
+        for extra in (mul(small, a, Jet(h, (xi, xi))), mul(small, g)):
+            candidate = add(reduced, extra)
+            report = verify_reduction(pde, chart, candidate, seed=seed,
+                                      n_functions=2, n_points=3)
+            ref = reference_max_discrepancy(pde, chart, candidate, seed, 2, 3)
+            assert not report.passed and report.max_discrepancy > report.tol
+            assert abs(report.max_discrepancy - ref) <= 1e-7 * ref, to_text(extra)
+
+
 class TestForwardModeCost:
     """The check differentiates the chart once per multi-index and builds no
-    tree per monomial: it never composes the equation, never binds jets and
+    tree per monomial: it never composes the equation, never binds jets,
     takes at most 2 * (|S| - 1) = 20 symbolic derivatives, S the 11
-    multi-indices at or below the viscoelastic residual's jets."""
+    multi-indices at or below the viscoelastic residual's jets, and makes
+    three batch evaluations: the chart's jets, the residual, the candidate."""
 
     @pytest.mark.parametrize("chart", [
         characteristic_invariants(parse_basis_combination("X1")),
@@ -438,10 +462,12 @@ class TestForwardModeCost:
             monkeypatch.setattr(module, "bind_jets", bind)
         for module in (E, R):
             monkeypatch.setattr(module, "diff_atom", derive)
+        monkeypatch.setattr(R, "eval_batch", counting("eval_batch", E.eval_batch))
         verify_reduction(pde, chart, REDUCED.parse("h_xi - g"), seed=0)
         assert "compose" not in calls and "bind_jets" not in calls
         assert "total_derivative" not in calls
         assert 0 < calls["diff_atom"] <= 20
+        assert calls["eval_batch"] == 3
 
 
 class TestVerificationFailures:
@@ -487,6 +513,19 @@ class TestVerificationFailures:
             assert report.max_discrepancy == 0.0 and report.passed
 
 
+def test_the_original_side_raises_before_the_candidate(pde):
+    # both sides fail at every point: the residual overflows and the
+    # candidate takes a negative base, since xi = y < 3; the original
+    # side's error is raised
+    big = PDEInstance(BASE.parse("10^400*u_tt - f"))
+    chart = characteristic_invariants(parse_basis_combination("X1"))
+    with pytest.raises(EvalError, match="numeric overflow") as info:
+        verify_reduction(big, chart, REDUCED.parse("h*(xi - 3)^(-1/2)"), seed=0)
+    assert type(info.value) is EvalError
+    with pytest.raises(DomainEvalError, match="negative base"):
+        verify_reduction(pde, chart, REDUCED.parse("h*(xi - 3)^(-1/2)"), seed=0)
+
+
 class TestAudit:
     def test_published_rows_disagree_with_chain_rule(self, pde):
         audit = audit_reduction_table(pde)
@@ -497,6 +536,26 @@ class TestAudit:
         assert by_row[3] == {"a*h_xixieta", "a*h_etaetaeta", "-h_etaeta"}
         assert by_row[4] == {"-a*h_xixieta", "b*h_xixi"}
         assert by_row[5] == {"-a*h_etaetaeta", "b*h_xixi", "b*h_etaeta"}
+
+    def test_published_rows_are_parsed_once(self, pde, monkeypatch):
+        import viscosym.reduction as R
+        import viscosym.spaces as S
+        assert published_reduction_rows() is published_reduction_rows()
+        assert published_similarity_rows() is published_similarity_rows()
+        # a fresh parse gives the same rows
+        assert R._published.__wrapped__() == (published_similarity_rows(),
+                                              published_reduction_rows())
+        first = audit_reduction_table(pde)
+        parsed = []
+
+        def counting(space, text, real=S.VarSpace.parse):
+            parsed.append(text)
+            return real(space, text)
+
+        monkeypatch.setattr(S.VarSpace, "parse", counting)
+        assert audit_reduction_table(pde) == first
+        # only the five generator labels are parsed again, not the rows
+        assert sorted(parsed) == sorted(label for label, _ in published_reduction_rows())
 
     def test_rows_1_to_3_printed_identically(self):
         rows = published_reduction_rows()

@@ -11,9 +11,11 @@ from viscosym.expr import (ExprError, Jet, JetOrderError, Kind, Num, Sym,
                            UnknownFn, ZERO, ONE, add, atoms, diff_atom,
                            max_abs_sample, mul, sub, substitute,
                            substitute_functions, to_text, total_derivative)
+from viscosym.linalg import solve_exact
 from viscosym.spaces import a, b, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 from viscosym.vector_fields import (Generator, NotClosedError, PDEInstance,
                                     basis_combination, bracket, commutator_table, determining_equations,
+                                    express_in_span,
                                     function_shift_generator, general_ansatz,
                                     invariance_residual, monomial_text,
                                     parse_basis_combination, prolong,
@@ -94,6 +96,40 @@ class TestCommutatorTable:
         assert constants.entry_text(1, 4) == "-X2"
         assert constants.entry_text(2, 4) == "X1"
         assert constants.entry_text(3, 3) == "0"
+
+
+class TestExpressInSpan:
+    """express_in_span decides membership by the exact solve alone: the
+    solve rejects an inconsistent system, and the coordinates it returns
+    rebuild the target exactly, which the dropped recombination check
+    asserted."""
+
+    @pytest.mark.parametrize("rows,rhs", [([[1], [1]], [1, 2]),
+                                          ([[1, 0], [0, 0]], [0, 1]),
+                                          ([[1, 2], [2, 4], [0, 1]], [1, 3, 5])])
+    def test_solve_exact_rejects_an_inconsistent_system(self, rows, rhs):
+        assert solve_exact([list(map(Fraction, row)) for row in rows],
+                           list(map(Fraction, rhs))) is None
+
+    def test_coordinates_rebuild_the_target(self, basis):
+        rng = random.Random(5)
+        targets = [bracket(v, w) for v, w in itertools.combinations(basis, 2)]
+        targets += [basis_combination([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                       for _ in range(5)]) for _ in range(6)]
+        for target in targets:
+            coeffs = express_in_span(target, basis)
+            rebuilt = Generator()
+            for coeff, gen in zip(coeffs, basis):
+                rebuilt = rebuilt + gen.scaled(Num(coeff))
+            assert all(sub(p, q) == ZERO for p, q in
+                       zip(rebuilt.coefficients, target.coefficients))
+
+    def test_targets_outside_the_span(self, basis, space):
+        X1, X2, X3, X4, X5 = basis
+        for target, span in ((X3, [X1, X2]), (X4, [X1, X2, X3, X5]),
+                             (Generator(xi1=space.parse("x*y")), basis),
+                             (Generator(phi1=space.parse("u + 1")), basis)):
+            assert express_in_span(target, span) is None
 
 
 def prolong_by_characteristic(v, order):
