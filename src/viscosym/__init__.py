@@ -9,7 +9,7 @@ and samples one-parameter flow trajectories.
 """
 
 from .expr import (Expr, ExprError, Jet, Kind, Num, Sym, UnknownFn,
-                   canonicalize, diff_atom, equals, eval_numeric, numerator,
+                   canonicalize, diff_atom, eval_numeric, numerator,
                    substitute, substitute_functions, to_text,
                    total_derivative)
 from .parsing import ParseError, UnknownIdentifierError, parse

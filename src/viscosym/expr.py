@@ -33,14 +33,13 @@ Laurent in exactly one of them; it is not when both carry negative powers
 (sin(x)^-2*cos(x)^-2 and sin(x)^-2 + cos(x)^-2 stay two nodes).  That is
 enough to check rotation flows against their flow equation symbolically.
 
-Four helpers serve every module that takes trees apart: ``rebuild`` walks
+Three helpers serve every module that takes trees apart: ``rebuild`` walks
 a tree through the canonical constructors with a per-node replacement hook
 (substitution, canonicalization and chart rewrites are all hooks),
-``term_map`` gives a sum's monomials with their rational coefficients,
+``term_map`` gives a sum's monomials with their rational coefficients, and
 ``merge_product`` adds the product of two monomials to such a term map
 with the product rules of ``mul`` (a sum built term by term never interns
-its intermediate sums), and ``bind_jets`` composes an equation with
-concrete dependents and their jets.
+its intermediate sums).
 Every walk descends through one child enumeration, ``_children``, and visits
 each distinct node once per call, so a hook must be a pure function of the
 node; the derivatives and ``atoms`` do the same.  A canonical node that
@@ -94,8 +93,8 @@ __all__ = [
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "merge_product", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
-    "substitute_functions", "bind_jets", "batch_evaluator",
-    "eval_batch", "eval_numeric", "equals", "max_abs_sample", "numerator",
+    "acyclic_bindings", "substitute_functions", "batch_evaluator",
+    "eval_batch", "eval_numeric", "max_abs_sample", "numerator",
 ]
 
 Rat = Union[int, Fraction]
@@ -982,15 +981,13 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
-               descend_unknown_args: bool = True) -> Expr:
-    """Simultaneous substitution of symbols/jets in a canonical e; the nodes
-    above a substituted atom are rebuilt through the canonical constructors,
-    and every other node is kept as it is.
+def acyclic_bindings(bindings: Mapping[Expr, Expr]) -> dict[Expr, Expr]:
+    """The bindings of a one-pass substitution, values made expressions.
 
-    Self-referencing bindings such as s -> s + d are fine (the substitution
-    is one-pass), but a dependency cycle between two or more keys raises
-    SubstitutionCycleError: such maps are almost always caller bugs.
+    Keys must be symbols or jet variables.  Self-referencing bindings such
+    as s -> s + d are fine, but a dependency cycle between two or more keys
+    raises SubstitutionCycleError: one pass would silently swap them, and
+    such maps are almost always caller bugs.
     """
     table = {k: _coerce(v) for k, v in bindings.items()}
     for k in table:
@@ -1014,7 +1011,17 @@ def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
     for k in table:
         if state.get(k) != 2:
             visit(k, ())
-    return rebuild(e, table.get, descend_unknown_args)
+    return table
+
+
+def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
+               descend_unknown_args: bool = True) -> Expr:
+    """Simultaneous substitution of symbols/jets in a canonical e; the nodes
+    above a substituted atom are rebuilt through the canonical constructors,
+    and every other node is kept as it is.  The bindings are checked by
+    ``acyclic_bindings``.
+    """
+    return rebuild(e, acyclic_bindings(bindings).get, descend_unknown_args)
 
 
 def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
@@ -1036,23 +1043,6 @@ def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:
         return substitute(body, dict(zip(atom.fn.slots, args)))
 
     return rebuild(e, fn)
-
-
-def bind_jets(e: Expr, bodies: Mapping[Sym, Expr]) -> Expr:
-    """Substitute each dependent symbol by its body and each of its jets u_J
-    by the total derivative D_J of the body, taken in J's sorted index
-    order.  Jets that share an index prefix share its derivative."""
-    derived = {(dep, ()): body for dep, body in bodies.items()}  # by index prefix
-    bindings: dict[Expr, Expr] = dict(bodies)
-    for atom in atoms(e):
-        if isinstance(atom, Jet) and atom.base in bodies:
-            for k in range(1, atom.order + 1):
-                prefix = atom.indices[:k]
-                if (atom.base, prefix) not in derived:
-                    derived[atom.base, prefix] = total_derivative(
-                        derived[atom.base, prefix[:-1]], prefix[-1])
-            bindings[atom] = derived[atom.base, atom.indices]
-    return substitute(e, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -1297,17 +1287,6 @@ def max_abs_sample(e: Expr, *, seed: int = 42, points: int = 20,
     if good >= points:
         return worst
     raise EvalError("could not find enough valid sample points")
-
-
-def equals(e1: Expr, e2: Expr, *, seed: int = 42, points: int = 24,
-           tol: float = 1e-9, lo: float = -2.0, hi: float = 2.0) -> bool:
-    """Structural equality of canonical forms, falling back to sampling the
-    difference at random points in [lo, hi] per symbol (|diff| < tol at 20+
-    valid points).  Unknown functions get deterministic polynomial stand-ins."""
-    diff = sub(_coerce(e1), _coerce(e2))
-    if diff == ZERO:
-        return True
-    return max_abs_sample(diff, seed=seed, points=max(points, 20), lo=lo, hi=hi) < tol
 
 
 # ---------------------------------------------------------------------------

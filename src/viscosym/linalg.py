@@ -2,7 +2,7 @@
 
 Rational matrices are lists of lists of Fraction; symbolic matrices are
 tuples of tuples of Expr.  Sizes here are tiny (at most 5x5), so plain
-Gaussian elimination and cofactor expansion are fine.
+Gaussian elimination is fine.
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Expr, Num, ZERO, add, mul, sub
+from .expr import Expr, Num, ZERO, add, mul
 
 __all__ = [
     "ExprMat", "solve_exact", "mat_mul_rat", "mat_is_zero",
-    "expr_matrix", "mat_mul_expr", "identity_expr", "det_expr",
+    "expr_matrix", "mat_mul_expr", "identity_expr",
 ]
 
 RatMat = list[list[Fraction]]
@@ -83,17 +83,3 @@ def mat_mul_expr(m1: ExprMat, m2: ExprMat) -> ExprMat:
                              if p is not ZERO and q is not ZERO])
                        for col in columns) for row in m1)
 
-
-def det_expr(m: ExprMat) -> Expr:
-    """Determinant by cofactor expansion along the first row."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out: Expr = ZERO
-    for j in range(n):
-        if m[0][j] == ZERO:
-            continue
-        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in m[1:])
-        cof = mul(m[0][j], det_expr(minor))
-        out = add(out, cof) if j % 2 == 0 else sub(out, cof)
-    return out

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (Add, Expr, ExprError, Func, Jet, JetOrderError, Kind, Mul, Num,
-                   Pow, Sym, UnknownFn, ZERO, ONE, add, atoms, bind_jets,
+                   Pow, Sym, Unknown, UnknownFn, ZERO, ONE, acyclic_bindings, add, atoms,
                    checked, diff_atom, join_signed, max_abs_sample, merge_product, mul,
                    neg, pow_, signed_term, sub, substitute, term_map, to_text,
                    total_derivative)
@@ -187,10 +187,26 @@ class PDEInstance(NamedTuple):
         return add(self.residual, f)
 
     def compose(self, u_expr: Expr, f_expr: Expr) -> Expr:
-        """The residual with u = u_expr and f = f_expr, each jet bound to
-        the matching total derivative (``bind_jets``).  With f_expr = 0 this is
-        the equation's linear operator applied to u_expr."""
-        return bind_jets(self.residual, {u: u_expr, f: f_expr})
+        """The residual with u = u_expr and f = f_expr, each jet u_J bound to
+        the total derivative D_J of its body, taken in J's sorted index
+        order; jets that share an index prefix share its derivative.
+        ``_substitute_terms`` binds them term by term, inside opaque-function
+        arguments too, and one sum is built from its term map.  With
+        f_expr = 0 this is the equation's linear operator applied to u_expr."""
+        bodies = {u: u_expr, f: f_expr}
+        derived = {(dep, ()): body for dep, body in bodies.items()}  # by index prefix
+        bindings: dict[Expr, Expr] = dict(bodies)
+        for atom in atoms(self.residual):
+            if isinstance(atom, Jet) and atom.base in bodies:
+                for k in range(1, atom.order + 1):
+                    prefix = atom.indices[:k]
+                    if (atom.base, prefix) not in derived:
+                        derived[atom.base, prefix] = total_derivative(
+                            derived[atom.base, prefix[:-1]], prefix[-1])
+                bindings[atom] = derived[atom.base, atom.indices]
+        terms = _substitute_terms(term_map(self.residual), bindings,
+                                  descend_unknown_args=True)
+        return add(*[_term(c, fs) for fs, c in terms.items()])
 
 
 def viscoelastic_pde() -> PDEInstance:
@@ -454,8 +470,9 @@ def invariance_residual(v: Generator, pde: PDEInstance | None = None) -> Expr:
     the result stays clean in any unknowns)."""
     if pde is None:
         pde = viscoelastic_pde()
-    raw = add(*[_term(c, fs) for fs, c in _raw_invariance(v, pde).items()])
-    return substitute(raw, {f: pde.solved_form}, descend_unknown_args=False)
+    terms = _substitute_terms(_raw_invariance(v, pde), {f: pde.solved_form},
+                              descend_unknown_args=False)
+    return add(*[_term(c, fs) for fs, c in terms.items()])
 
 
 class SymmetryReport(NamedTuple):
@@ -578,16 +595,24 @@ def _principal_jet(atom: Expr) -> bool:
             and sum(ix == t for ix in atom.indices) >= 2)
 
 
-def _on_shell(terms: _TermMap, bindings: Mapping[Jet, Expr]) -> _TermMap:
-    """The term map of ``substitute`` of the sum of ``terms`` by ``bindings``
-    (with opaque-function arguments left untouched), built term by term.
+def _substitute_terms(terms: _TermMap, bindings: Mapping[Expr, Expr], *,
+                      descend_unknown_args: bool) -> _TermMap:
+    """The term map of ``substitute`` of the sum of ``terms`` by ``bindings``,
+    built term by term: the one routine that substitutes into an equation.
+    ``PDEInstance.compose`` binds u, f and their jets, inside opaque-function
+    arguments too (``descend_unknown_args=True``); ``invariance_residual``
+    (f by the solved form) and ``determining_equations`` (u_tt and its two
+    consequences) go on shell and leave those arguments untouched.  Keys
+    that depend on each other in a cycle raise SubstitutionCycleError.
 
-    A bound jet J that is a factor J^k of a term, k a positive integer,
+    A bound atom J that is a factor J^k of a term, k a positive integer,
     multiplies the rest of the term by the terms of its binding's k-th
-    power.  A term that holds a bound jet anywhere else, inside a function
+    power.  A term that holds a bound atom anywhere else, inside a function
     argument or under any other power, goes through ``substitute``."""
+    bindings = acyclic_bindings(bindings)
+    opaque = (Func, Pow, Unknown) if descend_unknown_args else (Func, Pow)
     powers: dict[Expr, _TermMap] = {}       # factor J^k -> terms of binding^k
-    holds: dict[Expr, bool] = {}            # factor -> holds a bound jet
+    holds: dict[Expr, bool] = {}            # factor -> holds a bound atom
     out: _TermMap = {}
     for factors, coeff in terms.items():
         rest: list[Expr] = []
@@ -599,11 +624,12 @@ def _on_shell(terms: _TermMap, bindings: Mapping[Jet, Expr]) -> _TermMap:
                     powers[factor] = term_map(pow_(bindings[base], k))
                 multipliers.append(powers[factor])
             else:
-                if type(factor) in (Func, Pow) and factor not in holds:
+                if type(factor) in opaque and factor not in holds:
                     holds[factor] = any(atom in bindings for atom in atoms(factor))
                 rest.append(factor)
         if any(holds.get(factor) for factor in rest):
-            shell = substitute(_term(coeff, factors), bindings, descend_unknown_args=False)
+            shell = substitute(_term(coeff, factors), bindings,
+                               descend_unknown_args=descend_unknown_args)
             partial = term_map(shell)
         else:
             partial = {tuple(rest): coeff}
@@ -643,7 +669,8 @@ def determining_equations(pde: PDEInstance | None = None,
         pde = viscoelastic_pde()
     if ansatz is None:
         ansatz, _ = general_ansatz()
-    terms = _on_shell(_raw_invariance(ansatz, pde), _shell_bindings(pde))
+    terms = _substitute_terms(_raw_invariance(ansatz, pde), _shell_bindings(pde),
+                              descend_unknown_args=False)
     distinct = {factor for factors in terms for factor in factors}
     if any(_principal_jet(atom) for factor in distinct for atom in atoms(factor)):
         # name the jet that the on-shell sum meets first

@@ -253,6 +253,14 @@ class TestGeneratingODE:
         with pytest.raises(ExprError, match="does not solve"):
             AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
 
+    def test_not_unimodular(self, matrices):
+        # exp(s) in the X5 diagonal is the identity at 0 with slope 1 and
+        # solves m' = m'(0) m, but det m(s) = e^s: the trace of m'(0) is 1
+        entries = [list(row) for row in matrices[3].entries]
+        entries[4][4] = func("exp", s)
+        with pytest.raises(ExprError, match="not unimodular"):
+            AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
+
 
 class TestAudit:
     def test_exact_mismatch_set(self):

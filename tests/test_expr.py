@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
                            Num, Pow, SubstitutionCycleError,
                            UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
-                           _derive, atoms, canonicalize, diff_atom, equals, eval_numeric,
+                           _derive, atoms, canonicalize, diff_atom, eval_numeric,
                            func, join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
                            signed_term, sub, substitute,
                            substitute_functions, term_map, to_text,
@@ -388,12 +388,6 @@ class TestEvaluation:
         assert not isinstance(info.value, DomainEvalError)
         with pytest.raises(EvalError, match="overflow"):
             max_abs_sample(space.parse(text), lo=value, hi=value)
-
-    def test_equals_fallback(self, space):
-        lhs = space.parse("sin(x)^2")
-        rhs = space.parse("1 - cos(x)^2")
-        assert equals(lhs, rhs)
-        assert not equals(space.parse("x"), space.parse("y"))
 
 
 class TestPrinting:

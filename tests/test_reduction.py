@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from viscosym.expr import (Add, DomainEvalError, EvalError, ExprError, Jet, Mul, Num,
-                           Pow, Sym, ZERO, add, atoms, bind_jets, diff_atom,
-                           eval_numeric, mul, numerator, pow_, sub, substitute,
+                           Pow, SubstitutionCycleError, Sym, Unknown, UnknownFn, ZERO, add,
+                           atoms, diff_atom, eval_numeric, mul, numerator, pow_, sub, substitute,
                            substitute_functions, to_text, total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 SimilarityChart, _second_singular_value,
@@ -23,6 +23,7 @@ from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
 from viscosym.spaces import (a, b, base_space, eta, f, g, h, reduced_space, t,
                              u, x, xi, y)
 from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
+                                    general_ansatz, invariance_residual,
                                     parse_basis_combination, standard_basis)
 
 REDUCED = reduced_space()
@@ -248,8 +249,8 @@ def reference_compose(pde, u_expr, f_expr):
 
 
 def reference_bind_reduced(candidate, hbody, gbody):
-    """verify_reduction's h/g binding as it was before bind_jets: jets by
-    repeated diff_atom over (xi, eta)."""
+    """The candidate with h, g and their jets bound to the bodies and their
+    partial derivatives, each jet by repeated diff_atom over (xi, eta)."""
     bindings = {}
     for atom in atoms(candidate):
         if isinstance(atom, Sym) and atom in (h, g):
@@ -271,7 +272,8 @@ def catalog_charts():
 
 
 class TestBindJets:
-    """bind_jets builds the same trees as the two loops it replaced."""
+    """compose binds u, f and their jets term by term, and builds the tree
+    that one ``substitute`` of the residual builds."""
 
     def test_compose_matches_reference(self, pde):
         mono = mul(pow_(xi, 2), eta)
@@ -282,29 +284,36 @@ class TestBindJets:
                 assert (pde.compose(u_expr, f_expr)
                         == reference_compose(pde, u_expr, f_expr)), to_text(chart.xi)
 
-    def test_reduced_side_matches_reference(self, pde):
-        hbody = REDUCED.parse("3*xi^4 - xi*eta^2 + 2*eta - 1")
-        gbody = REDUCED.parse("xi^2*eta^2 + 5")
-        for chart in catalog_charts():
-            reduced = reduce_pde(pde, chart).residual
-            wrong = add(reduced, mul(a, Jet(h, (xi, eta, eta))), Jet(g, (xi,)), h)
-            for candidate in (reduced, wrong):
-                assert (bind_jets(candidate, {h: hbody, g: gbody})
-                        == reference_bind_reduced(candidate, hbody, gbody))
+    def test_cyclic_bodies_raise(self, pde):
+        # u = f and f = u in one pass would silently swap the two
+        with pytest.raises(SubstitutionCycleError, match="^cyclic substitution: u -> f -> u$"):
+            pde.compose(f, u)
+
+    def test_opaque_arguments_are_bound(self, pde):
+        # compose binds f_x inside F's arguments; going on shell does not
+        fn = UnknownFn("F", (x, y))
+        space = BASE.with_unknowns(fn)
+        opaque = PDEInstance(space.parse("u_tt - f + F(x, f_x)"))
+        composed = opaque.compose(ZERO, space.parse("x*y*t"))
+        assert composed == space.parse("-x*y*t + F(x, y*t)")
+        residual = invariance_residual(general_ansatz()[0], pde)
+        applications = [atom for atom in atoms(residual) if isinstance(atom, Unknown)]
+        assert applications
+        assert all(app.args == (x, y, t, u, f) for app in applications)
 
 
 def test_bind_jets_shares_index_prefixes(monkeypatch, pde):
     # u_xx, u_yy, u_tt, u_xxt and u_yyt need D along the prefixes x, xx,
     # xxt, y, yy, yyt, t and tt: 8 derivatives, where deriving each jet
     # from the body takes 12
-    import viscosym.expr as E
+    import viscosym.vector_fields as V
     directions = []
 
-    def counting(e, v, real=E.total_derivative):
+    def counting(e, v, real=V.total_derivative):
         directions.append(v.name)
         return real(e, v)
 
-    monkeypatch.setattr(E, "total_derivative", counting)
+    monkeypatch.setattr(V, "total_derivative", counting)
     body = BASE.parse("x^2*y*t + sin(x - t)*y^3")
     composed = pde.compose(body, ZERO)
     assert len(directions) == 8
@@ -455,16 +464,15 @@ class TestForwardModeCost:
             return counted
 
         monkeypatch.setattr(PDEInstance, "compose", counting("compose", PDEInstance.compose))
-        monkeypatch.setattr(E, "total_derivative",
-                            counting("total_derivative", E.total_derivative))
-        bind, derive = counting("bind_jets", E.bind_jets), counting("diff_atom", E.diff_atom)
+        total = counting("total_derivative", E.total_derivative)
         for module in (E, V):
-            monkeypatch.setattr(module, "bind_jets", bind)
+            monkeypatch.setattr(module, "total_derivative", total)
+        derive = counting("diff_atom", E.diff_atom)
         for module in (E, R):
             monkeypatch.setattr(module, "diff_atom", derive)
         monkeypatch.setattr(R, "eval_batch", counting("eval_batch", E.eval_batch))
         verify_reduction(pde, chart, REDUCED.parse("h_xi - g"), seed=0)
-        assert "compose" not in calls and "bind_jets" not in calls
+        assert "compose" not in calls
         assert "total_derivative" not in calls
         assert 0 < calls["diff_atom"] <= 20
         assert calls["eval_batch"] == 3
