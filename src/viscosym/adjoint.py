@@ -1,11 +1,10 @@
 """Adjoint representation, the published-table audit, and the optimal system
 of one-dimensional subalgebras.
 
-The adjoint series Ad(exp(s*X_t))X_r = X_r - s[X_t, X_r] + (s^2/2)[X_t,[X_t,X_r]] - ...
-is summed in closed form from the structure constants: nilpotent actions
-terminate, and the rotation pattern resums to sin/cos.  The series is the
-single source of truth; the published adjoint table is audited against it,
-mismatches reported rather than silently corrected.
+The adjoint action Ad(exp(s*X_t)) = exp(-s*ad X_t) is exponentiated exactly
+from the structure constants by ``linalg.mat_exp``.  It is the single source
+of truth; the published adjoint table is audited against it, mismatches
+reported rather than silently corrected.
 """
 
 from __future__ import annotations
@@ -15,21 +14,17 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Num, ZERO, ONE, add, batch_evaluator, checked,
-                   diff_atom, func, mul, pow_, rebuild, sub)
-from .linalg import (ExprMat, expr_matrix, identity_expr,
-                     mat_mul_expr, mat_mul_rat, mat_is_zero)
+from .expr import (Expr, ExprError, Num, ZERO, ONE, batch_evaluator, checked, diff_atom,
+                   func, mul, rebuild, sub)
+from .linalg import ExprMat, expr_matrix, identity_expr, mat_exp, mat_mul_expr
 from .spaces import s as S_PARAM
 from .vector_fields import StructureConstants, combo_text, commutator_table
 
 __all__ = [
-    "AdjointMatrix", "OptimalClass", "NormalizationResult", "AdjointSeriesError",
+    "AdjointMatrix", "OptimalClass", "NormalizationResult",
     "adjoint_matrix", "adjoint_matrices", "audit_adjoint_table",
     "apply_adjoint", "normalize", "equivalent", "PUBLISHED_ADJOINT_TABLE",
 ]
-
-class AdjointSeriesError(ExprError):
-    """The adjoint series neither terminates nor matches the rotation pattern."""
 
 
 @checked
@@ -37,10 +32,9 @@ class AdjointMatrix(NamedTuple):
     """Matrix of Ad(exp(s*X_t)) on coefficient vectors in the basis X1..X5.
 
     Entries are exact expressions in the group parameter s.  Construction
-    verifies m(0) = I, a rational slope A = m'(0), the ODE m'(s) = A m(s)
-    (so m = exp(s*A), which obeys the group law) and unimodularity
-    det m(s) = 1, which by Liouville's formula det m(s) = e^(s*tr A) holds
-    exactly when tr A = 0 (every ad here is traceless).
+    verifies m(0) = I, a rational slope A = m'(0) and the ODE
+    m'(s) = A m(s), so m = exp(s*A), which obeys the group law and, by
+    Liouville's formula, has det m(s) = e^(s*tr A).
     """
 
     t: int
@@ -56,8 +50,6 @@ class AdjointMatrix(NamedTuple):
             raise ExprError(f"Ad matrix for t={self.t} has a non-rational slope at s=0")
         if mat_mul_expr(generator, self.entries) != slope:
             raise ExprError(f"Ad matrix for t={self.t} does not solve m'(s) = m'(0) m(s)")
-        if sum(generator[i][i].value for i in range(len(generator))) != 0:
-            raise ExprError(f"Ad matrix for t={self.t} is not unimodular")
 
     def at(self, value: float) -> list[list[float]]:
         """Evaluate the matrix numerically at s = value."""
@@ -92,54 +84,13 @@ def _entry_evaluator(entries: ExprMat):
     return at
 
 
-def _exp_series(a: list[list[Fraction]], param: Expr) -> ExprMat:
-    """Closed form of exp(param * A) for a rational matrix A: polynomial when
-    A is nilpotent, sin/cos resummation when A^3 = -w^2 A with rational w."""
-    n = len(a)
-    # A nilpotent n x n matrix has A^n = 0 (Cayley-Hamilton), so A^1..A^n decide.
-    powers = [a]
-    while len(powers) < n and not mat_is_zero(powers[-1]):
-        powers.append(mat_mul_rat(powers[-1], a))
-    if mat_is_zero(powers[-1]):
-        out = [[Num(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
-        factorial = 1
-        for k, power in enumerate(powers[:-1], start=1):
-            factorial *= k
-            coeff = pow_(param, Fraction(k))
-            for i in range(n):
-                for j in range(n):
-                    if power[i][j] != 0:
-                        out[i][j] = add(out[i][j],
-                                        mul(Num(Fraction(power[i][j], factorial)), coeff))
-        return expr_matrix(out)
-    a2 = powers[1] if n > 1 else mat_mul_rat(a, a)
-    a3 = powers[2] if n > 2 else mat_mul_rat(a2, a)
-    lam = next((Fraction(a3[i][j], a[i][j]) for i in range(n) for j in range(n)
-                if a[i][j] != 0), None)
-    if lam is not None and lam < 0 and a3 == [[v * lam for v in row] for row in a]:
-        omega = pow_(Num(-lam), Fraction(1, 2))
-        if isinstance(omega, Num):
-            # exp(pA) = I + sin(w p)/w A + (1 - cos(w p))/w^2 A^2
-            sin_c = mul(func("sin", mul(omega, param)), Num(Fraction(1, omega.value)))
-            cos_c = mul(sub(ONE, func("cos", mul(omega, param))),
-                        Num(Fraction(1, omega.value ** 2)))
-            return tuple(
-                tuple(add(Num(Fraction(int(i == j))), mul(sin_c, Num(a[i][j])),
-                          mul(cos_c, Num(a2[i][j])))
-                      for j in range(n))
-                for i in range(n))
-    raise AdjointSeriesError(
-        "A is neither nilpotent (polynomial exp) nor of the rotation form "
-        "A^3 = -w^2 A with rational w (sin/cos exp)")
-
-
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
     """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t), checked to have
     the slope -ad(X_t) at s = 0."""
     if constants is None:
         constants = commutator_table()
     neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
-    m = AdjointMatrix(t, _exp_series(neg_ad, S_PARAM), constants.labels)
+    m = AdjointMatrix(t, mat_exp(neg_ad, S_PARAM), constants.labels)
     if _at_zero(_slope(m.entries)) != expr_matrix([[Num(v) for v in row] for row in neg_ad]):
         raise ExprError(f"Ad matrix for t={t} is not generated by -ad(X_{t})")
     return m
@@ -188,7 +139,7 @@ class AdjointAuditCell(NamedTuple):
 
 
 def audit_adjoint_table(constants: StructureConstants | None = None) -> list[AdjointAuditCell]:
-    """Per-cell comparison of the series-derived adjoint action against the
+    """Per-cell comparison of the exponentiated adjoint action against the
     published table.  Known discrepancies (the X1/X2 rows acting on each
     other and on X4) are reported, never corrected."""
     if constants is None:

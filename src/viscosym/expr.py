@@ -85,11 +85,11 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
-    "ExprError", "JetOrderError", "SubstitutionCycleError", "EvalError",
+    "ExprError", "JetOrderError", "TermBudgetError", "SubstitutionCycleError", "EvalError",
     "UnassignedSymbolError", "DomainEvalError",
     "Kind", "Expr", "Num", "Sym", "Jet", "Func", "UnknownFn", "Unknown",
     "Pow", "Mul", "Add",
-    "ZERO", "ONE", "JET_ORDER_CAP", "ELEMENTARY_FUNCTIONS", "OVERFLOW",
+    "ZERO", "ONE", "JET_ORDER_CAP", "TERM_BUDGET", "ELEMENTARY_FUNCTIONS", "OVERFLOW",
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "merge_product", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
@@ -102,6 +102,9 @@ Rat = Union[int, Fraction]
 JET_ORDER_CAP = 4
 ELEMENTARY_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "arctan": 1, "atan2": 2}
 _POW_EXPAND_LIMIT = 12
+# most terms in one sum, and in one product of sums before like terms merge;
+# the CLI corpus, demos and bench decks stay below 200
+TERM_BUDGET = 2000
 _TRIG = ("sin", "cos")
 
 
@@ -111,6 +114,10 @@ class ExprError(Exception):
 
 class JetOrderError(ExprError):
     """A jet variable would exceed the supported derivative order."""
+
+
+class TermBudgetError(ExprError):
+    """A sum, or a product of sums, would pass ``TERM_BUDGET`` terms."""
 
 
 class SubstitutionCycleError(ExprError):
@@ -452,6 +459,8 @@ def add(*eargs: Expr) -> Expr:
         _merge_into(acc, _coerce(e), kept)
     terms = [kept[f] if _as_term(kept[f])[0] == c else _from_term(c, f)
              for f, c in acc.items()]
+    if len(terms) > TERM_BUDGET:
+        raise TermBudgetError(f"a sum would have {len(terms)} terms, more than {TERM_BUDGET}")
     terms.sort(key=_key)
     if not terms:
         return ZERO
@@ -507,23 +516,14 @@ def mul(*eargs: Expr) -> Expr:
     coeff = 1
     powers: dict[Expr, Rat] = {}
     sums: list[Expr] = []
-
-    def feed(e: Expr):
-        nonlocal coeff
-        if isinstance(e, Num):
-            coeff *= e.value
-        elif isinstance(e, Mul):
-            coeff *= e.coeff
-            for fac in e.factors:
-                feed(fac)
-        elif isinstance(e, Add):
+    for e in map(_coerce, eargs):
+        if isinstance(e, Add):
             sums.append(e)
-        else:
-            base, exp = _base_exp(e)
-            powers[base] = powers.get(base, 0) + exp
-
-    for e in eargs:
-        feed(_coerce(e))
+        else:   # a canonical Mul's factors are never Num, Mul or Add: one level suffices
+            c, factors = _as_term(e)
+            coeff *= c
+            for base, exp in map(_base_exp, factors):
+                powers[base] = powers.get(base, 0) + exp
     if coeff == 0:
         return ZERO
     for base, exp in powers.items():
@@ -560,6 +560,8 @@ def mul(*eargs: Expr) -> Expr:
 
 
 def _distribute(e1: Expr, e2: Expr) -> Expr:
+    if (size := len(_terms(e1)) * len(_terms(e2))) > TERM_BUDGET:
+        raise TermBudgetError(f"a product of sums would have {size} terms, more than {TERM_BUDGET}")
     right = [_as_term(t2) for t2 in _terms(e2)]
     parts = [_mul_terms(c1 * c2, f1, f2)
              for c1, f1 in map(_as_term, _terms(e1)) for c2, f2 in right]

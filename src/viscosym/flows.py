@@ -1,21 +1,24 @@
 """Closed-form one-parameter flows of affine base-space generators and
 sampled trajectory emission.
 
-The supported coefficient structure is affine in (x, y, t): translations,
-the (x, y)-rotation and their combinations.  A rotation component is
-exponentiated exactly about its fixed center; everything else integrates to
-polynomials in the flow parameter.  u- and f-components are ignored: the
-flow lives on the base space.
+A generator whose (xi1, xi2, xi3) = A (x, y, t) + b is affine with rational
+coefficients has the flow exp(eps*M) (x, y, t, 1), M = [[A, b], [0, 0]],
+exponentiated exactly by ``linalg.mat_exp`` whenever the spectrum of A is
+rational or pairs +-i*w with rational w: translations, rotations,
+dilations, shears and their combinations.  u- and f-components are
+ignored: the flow lives on the base space.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Num, ZERO, add, checked, diff_atom, eval_batch, func,
-                   mul, rebuild, sub, to_text)
+from .expr import (Expr, ExprError, Num, ZERO, checked, diff_atom, eval_batch, rebuild,
+                   term_map, to_text)
+from .linalg import mat_exp
 from .spaces import eps as EPS
 from .spaces import t, x, y
 from .vector_fields import Generator
@@ -29,7 +32,8 @@ MAX_EPS_SAMPLES = 100_000
 
 
 class NonAffineError(ExprError):
-    """Flow maps exist in closed form only for affine (x, y, t)-coefficients."""
+    """Flow maps exist in closed form only for (x, y, t)-coefficients that
+    are affine with rational coefficients."""
 
 
 @checked
@@ -64,56 +68,18 @@ class FlowMap(NamedTuple):
         return tuple(values[0] for values in eval_batch(self.components, columns))
 
 
-def _affine_parts(coeff: Expr, label: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Split a coefficient into constants (kx, ky, kt, k0); error if not
-    affine with rational coefficients."""
-    parts = []
-    rest = coeff
-    for coord in (x, y, t):
-        grad = diff_atom(coeff, coord)
-        if not isinstance(grad, Num):
-            raise NonAffineError(f"{label} is not affine in (x, y, t): {to_text(coeff)}")
-        parts.append(grad.value)
-        rest = sub(rest, mul(grad, coord))
-    if not isinstance(rest, Num):
-        raise NonAffineError(f"{label} has non-constant part {to_text(rest)}")
-    parts.append(rest.value)
-    return tuple(parts)
-
-
 def flow_map(v: Generator) -> FlowMap:
-    """Exact exponential of the affine system attached to the generator."""
-    rows = [_affine_parts(coeff, name)
-            for coeff, name in ((v.xi1, "xi1"), (v.xi2, "xi2"), (v.xi3, "xi3"))]
-    lin = [[rows[i][j] for j in range(3)] for i in range(3)]
-    const = [rows[i][3] for i in range(3)]
-
-    # rotation component: linear part must be w * (y d/dx - x d/dy)
-    w = lin[0][1]
-    rotation_pattern = [[Fraction(0), w, Fraction(0)],
-                        [-w, Fraction(0), Fraction(0)],
-                        [Fraction(0), Fraction(0), Fraction(0)]]
-    if lin != rotation_pattern:
-        raise NonAffineError(
-            "unsupported linear part; the closed-form catalog covers "
-            "translations and c4*(y d/dx - x d/dy) rotations")
-
-    t_flow = add(t, mul(Num(const[2]), EPS))
-    if w == 0:
-        return FlowMap(v, add(x, mul(Num(const[0]), EPS)),
-                       add(y, mul(Num(const[1]), EPS)), t_flow)
-
-    # dz/deps = w J z + b has the fixed point p = (b2/w, -b1/w); the flow is
-    # p + R(w eps) (z - p) with R the clockwise rotation block.
-    px = Fraction(const[1], w)
-    py = Fraction(-const[0], w)
-    cos_we = func("cos", mul(Num(w), EPS))
-    sin_we = func("sin", mul(Num(w), EPS))
-    dx = sub(x, Num(px))
-    dy = sub(y, Num(py))
-    x_flow = add(Num(px), mul(cos_we, dx), mul(sin_we, dy))
-    y_flow = add(Num(py), mul(cos_we, dy), mul(Num(Fraction(-1)), sin_we, dx))
-    return FlowMap(v, x_flow, y_flow, t_flow)
+    """Exact flow of the affine system attached to the generator."""
+    rows, slots = [], ((x,), (y,), (t,), ())
+    for coeff, label in ((v.xi1, "xi1"), (v.xi2, "xi2"), (v.xi3, "xi3")):
+        terms = term_map(coeff)        # kx*x + ky*y + kt*t + k0, and nothing else
+        if any(factors not in slots for factors in terms):
+            raise NonAffineError(f"{label} is not affine in (x, y, t): {to_text(coeff)}")
+        rows.append([terms.get(factors, 0) for factors in slots])
+    # diag(d, d, d, 1) M diag(d, d, d, 1)^-1 clears the denominators of b alone
+    d = math.lcm(*[row[3].denominator for row in rows])
+    m_d = [row[:3] + [row[3] * d] for row in rows] + [[0, 0, 0, 0]]
+    return FlowMap(v, *mat_exp(m_d, EPS, (x, y, t, Num(Fraction(1, d))))[:3])
 
 
 class FlowSample(NamedTuple):

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from viscosym import adjoint
-from viscosym.adjoint import (AdjointMatrix, AdjointSeriesError, _entry_evaluator,
-                              _exp_series, adjoint_matrices, adjoint_matrix, apply_adjoint,
-                              audit_adjoint_table, equivalent, normalize)
+from viscosym.adjoint import (AdjointMatrix, _entry_evaluator, adjoint_matrices, adjoint_matrix,
+                              apply_adjoint, audit_adjoint_table, equivalent, normalize)
 from viscosym.expr import (ExprError, Kind, Num, Sym, ZERO, ONE, add, diff_atom, eval_batch,
                            func, mul, neg, pow_, sub, substitute)
-from viscosym.linalg import expr_matrix, mat_is_zero, mat_mul_expr, mat_mul_rat
-from viscosym.spaces import s, x
-from viscosym.vector_fields import commutator_table, standard_basis
+from viscosym.linalg import SpectrumError, expr_matrix, mat_exp, mat_mul_expr
+from viscosym.spaces import f, s, t, x, y
+from viscosym.vector_fields import Generator, commutator_table, standard_basis
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +22,22 @@ def matrices():
     return adjoint_matrices()
 
 
+def mat_mul_rat(m1, m2):
+    """The dense product of two rational matrices."""
+    return [[sum((p * q for p, q in zip(row, col)), Fraction(0)) for col in zip(*m2)]
+            for row in m1]
+
+
 def _reference_exp_series(a, param):
-    """The series summation before the power-first rewrite: up to 12 terms,
-    then the rotation test."""
+    """The adjoint series summed term by term, as it was before the exact
+    matrix exponential: up to 12 terms, then the rotation test."""
     n = len(a)
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     out = [[Num(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
     factorial = 1
     for k in range(1, 13):
         power = mat_mul_rat(power, a)
-        if mat_is_zero(power):
+        if all(v == 0 for row in power for v in row):
             return expr_matrix(out)
         factorial *= k
         coeff = pow_(param, Fraction(k))
@@ -64,7 +69,7 @@ def _reference_exp_series(a, param):
                               mul(cos_c, Num(a2[i][j])))
                           for j in range(n))
                     for i in range(n))
-    raise AdjointSeriesError("reference series failed")
+    raise ValueError("reference series failed")
 
 
 def _rat(rows):
@@ -115,7 +120,7 @@ class TestExpSeries:
     @pytest.mark.parametrize("t", range(1, 6))
     def test_ad_matrices_match_reference(self, t):
         neg_ad = [[-v for v in row] for row in commutator_table().adjoint_action(t)]
-        assert _exp_series(neg_ad, s) == _reference_exp_series(neg_ad, s)
+        assert mat_exp(neg_ad, s) == _reference_exp_series(neg_ad, s)
 
     @pytest.mark.parametrize("a", [
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],   # A^3 != 0, A^4 = 0
@@ -125,11 +130,26 @@ class TestExpSeries:
     ], ids=["jordan4", "zero1", "rotation2", "rotation2-w3"])
     def test_small_matrices_match_reference(self, a):
         a = _rat(a)
-        assert _exp_series(a, s) == _reference_exp_series(a, s)
+        assert mat_exp(a, s) == _reference_exp_series(a, s)
+
+    @pytest.mark.parametrize("a", [
+        [[1, 1], [0, 1]],                                           # e^s (1 + s N)
+        [[Fraction(1, 2), 0], [0, Fraction(-1, 3)]],
+        [[0, 1, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 1], [0, 0, -1, 0]],  # +-i, each twice
+        [[Fraction(-1, 2), Fraction(1, 2), Fraction(5, 2)], [-3, 0, 3],
+         [Fraction(-1, 2), Fraction(-5, 2), Fraction(5, 2)]],        # 2 and +-3i, conjugated
+        [[Fraction(1, 3), 2, 0], [0, Fraction(1, 3), 0], [0, 0, -5]],
+    ], ids=["jordan-at-1", "rational-diagonal", "rotation-jordan", "mixed", "mixed-rational"])
+    def test_general_spectra_solve_the_generating_ode(self, a):
+        # m(0) = I and m' = A m: the checks every AdjointMatrix passes
+        m = mat_exp(a, s)
+        AdjointMatrix(0, m, tuple(f"X{i}" for i in range(len(a))))
+        assert [[substitute(diff_atom(e, s), {s: ZERO}) for e in row] for row in m] == \
+            [[Num(v) for v in row] for row in a]
 
 
 class TestMatrixProducts:
-    """The products skip zero entries; dense triple loops are the reference."""
+    """The product skips zero entries; dense triple loops are the reference."""
 
     def test_sparse_products_match_dense_loops(self):
         rng = random.Random(7)
@@ -137,11 +157,6 @@ class TestMatrixProducts:
         for n, k, p in [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 2, 3)]:
             a = [[Fraction(rng.choice(pool)) for _ in range(k)] for _ in range(n)]
             b = [[Fraction(rng.choice(pool)) for _ in range(p)] for _ in range(k)]
-            dense = [[sum((a[i][j] * b[j][c] for j in range(k)), Fraction(0))
-                      for c in range(p)] for i in range(n)]
-            got = mat_mul_rat(a, b)
-            assert got == dense
-            assert all(type(v) is Fraction for row in got for v in row)
             ea = expr_matrix([[mul(Num(v), func("sin", s)) for v in row] for row in a])
             eb = expr_matrix([[add(Num(v), s) if v else ZERO for v in row] for row in b])
             assert mat_mul_expr(ea, eb) == tuple(
@@ -196,11 +211,35 @@ class TestMatrices:
                     dot = dot + mul(m4[k][i], m4[k][j])
                 assert dot == (ONE if i == j else ZERO)
 
-    def test_series_error_for_hyperbolic_pattern(self):
-        # A^3 = +A (eigenvalues 0, +-1) is outside nilpotent and rotation forms
+    def test_boost_has_its_closed_form(self):
+        # eigenvalues +-1: cosh(s) and sinh(s), as exponentials
         boost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        with pytest.raises(AdjointSeriesError, match="nilpotent.*rotation"):
-            _exp_series(boost, s)
+        cosh = mul(Num(Fraction(1, 2)), add(func("exp", s), func("exp", neg(s))))
+        sinh = mul(Num(Fraction(1, 2)), sub(func("exp", s), func("exp", neg(s))))
+        assert mat_exp(boost, s) == ((cosh, sinh), (sinh, cosh))
+
+    @pytest.mark.parametrize("a", [[[1, 1], [-1, 1]], [[0, 2], [1, 0]], [[0, 1], [1, 1]]],
+                             ids=["1+-i", "+-sqrt2", "golden-ratio"])
+    def test_spectrum_outside_the_form_is_rejected(self, a):
+        with pytest.raises(SpectrumError, match="rational"):
+            mat_exp(a, s)
+
+    def test_root_search_is_bounded(self):
+        # eigenvalues +-(10^6 + 1): beyond the search, refused without a long loop
+        with pytest.raises(SpectrumError, match="at most 1000000"):
+            mat_exp([[0, 10 ** 6 + 1], [10 ** 6 + 1, 0]], s)
+
+    def test_b0_dilation_ad_matrix(self):
+        # X6 = x dx + y dy + 2t dt - 4f df, a symmetry when b = 0: ad X6 is
+        # diag(-1, -1, -2, 0, 0, 0), whose trace is not 0
+        x6 = Generator(xi1=x, xi2=y, xi3=mul(Num(2), t), phi2=mul(Num(-4), f), label="X6")
+        constants = commutator_table(standard_basis() + (x6,))
+        m6 = adjoint_matrix(6, constants)
+        diagonal = [func("exp", s), func("exp", s), func("exp", mul(Num(2), s)), ONE, ONE, ONE]
+        assert m6.entries == tuple(tuple(diagonal[i] if i == j else ZERO for j in range(6))
+                                   for i in range(6))
+        # the other five build and pass their checks in the larger algebra too
+        assert [m.t for m in adjoint_matrices(constants)] == [1, 2, 3, 4, 5, 6]
 
     def test_bad_index(self):
         with pytest.raises(Exception, match="out of range"):
@@ -224,9 +263,8 @@ class TestGeneratingODE:
     def test_reversed_parameter_is_rejected(self, monkeypatch):
         # m(-s) = exp(s * ad) is a one-parameter group with m(0) = I, so only
         # the slope test against -ad(X_4) tells it apart
-        exp_series = adjoint._exp_series
-        monkeypatch.setattr(adjoint, "_exp_series", lambda a, param: exp_series(a, neg(param)))
-        reversed_entries = adjoint._exp_series(
+        monkeypatch.setattr(adjoint, "mat_exp", lambda a, param: mat_exp(a, neg(param)))
+        reversed_entries = adjoint.mat_exp(
             [[-v for v in row] for row in commutator_table().adjoint_action(4)], s)
         AdjointMatrix(4, reversed_entries, commutator_table().labels)   # its own ODE holds
         with pytest.raises(ExprError, match="not generated by -ad"):
@@ -253,13 +291,17 @@ class TestGeneratingODE:
         with pytest.raises(ExprError, match="does not solve"):
             AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
 
-    def test_not_unimodular(self, matrices):
-        # exp(s) in the X5 diagonal is the identity at 0 with slope 1 and
-        # solves m' = m'(0) m, but det m(s) = e^s: the trace of m'(0) is 1
+    def test_not_unimodular(self, matrices, monkeypatch):
+        # exp(s) in the X5 diagonal is the identity at 0 and solves
+        # m' = m'(0) m, so it is an Ad matrix of something (det m(s) = e^s);
+        # only the slope test against -ad(X_4) tells it from Ad(X4)
         entries = [list(row) for row in matrices[3].entries]
         entries[4][4] = func("exp", s)
-        with pytest.raises(ExprError, match="not unimodular"):
-            AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
+        bent = expr_matrix(entries)
+        AdjointMatrix(4, bent, matrices[3].labels)
+        monkeypatch.setattr(adjoint, "mat_exp", lambda a, param: bent)
+        with pytest.raises(ExprError, match="not generated by -ad"):
+            adjoint_matrix(4)
 
 
 class TestAudit:

@@ -355,6 +355,11 @@ class TestInputValidation:
         *[["flow", "--generator", "X4", "--seeds", name, "--eps", "0:1:5"]
           for name in ("short.json", "text.json", "object.json", "nan.json", "inf.csv",
                        "huge.json")],
+        # flows whose spectrum has no closed form here: 1 +- i, and +-sqrt(2)
+        ["flow", "--generator", '{"xi1": "x + y", "xi2": "y - x"}', "--seeds", "good.json",
+         "--eps", "0:1:3"],
+        ["flow", "--generator", '{"xi1": "2*y", "xi2": "x"}', "--seeds", "good.json",
+         "--eps", "0:1:3"],
         # float overflow in the sampled fallback
         ["verify", "--generator", '{"xi1": "x^1000000"}'],
         ["verify", "--generator", '{"xi1": "exp(exp(exp(x)))"}'],
@@ -369,6 +374,18 @@ class TestInputValidation:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_term_budget_bounds_an_angle_sum_power(self, capsys):
+        # sin of a 5-term angle sum, cubed (507 terms) and prolonged, used to
+        # run without bound: its third prolongation builds ever larger sums
+        start = time.perf_counter()
+        code = run(["verify", "--generator", '{"xi1": "sin(x+y+t+u+f)^3"}'])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: a ")
+        assert captured.err.endswith(" terms, more than 2000\n")
+        assert elapsed < 10
 
     @pytest.mark.parametrize("generator", [
         '{"xi1": "sqrt(10^800)*x"}',   # exact root beyond the double range

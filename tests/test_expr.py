@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
-                           Num, Pow, SubstitutionCycleError,
+                           Num, Pow, SubstitutionCycleError, TERM_BUDGET, TermBudgetError,
                            UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
                            _derive, atoms, canonicalize, diff_atom, eval_numeric,
                            func, join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
@@ -100,6 +100,34 @@ class TestParsing:
     def test_unknown_declaration_clash(self, space):
         with pytest.raises(ValueError, match="already declared"):
             space.with_unknowns(UnknownFn("u", (x, y)))
+
+
+class TestTermBudget:
+    """A sum, and a product of sums before its like terms merge, may have at
+    most TERM_BUDGET terms."""
+
+    @staticmethod
+    def _sum(n, atom):
+        return add(*[pow_(atom, k) for k in range(n)])
+
+    def test_product_at_the_budget_expands(self):
+        assert TERM_BUDGET == 2000
+        assert len(mul(self._sum(40, x), self._sum(50, y)).terms) == 2000
+
+    def test_product_past_the_budget_is_refused(self):
+        with pytest.raises(TermBudgetError, match="would have 2050 terms, more than 2000"):
+            mul(self._sum(41, x), self._sum(50, y))
+
+    def test_power_of_a_sum_is_refused_before_it_grows(self):
+        # (1 + x + ... + x^49)^2 forecasts 50*50 products, though 99 terms remain
+        with pytest.raises(TermBudgetError, match="2500 terms"):
+            pow_(self._sum(50, x), 2)
+        assert len(pow_(self._sum(40, x), 2).terms) == 79
+
+    def test_sum_past_the_budget_is_refused(self):
+        assert len(self._sum(2000, x).terms) == 2000
+        with pytest.raises(TermBudgetError, match="a sum would have 2001 terms"):
+            self._sum(2001, x)
 
 
 class TestCanonicalForm:

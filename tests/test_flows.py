@@ -1,16 +1,24 @@
-"""One-parameter flows: closed forms, group law, sampling."""
+"""One-parameter flows: closed forms, group law, finite transformations of
+solutions, sampling."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viscosym.expr import (ExprError, Kind, Sym, ZERO, add, eval_numeric, pow_, rebuild,
-                           sub, substitute)
+from viscosym.expr import (ExprError, Func, Kind, Num, Sym, ZERO, add, eval_numeric, func,
+                           mul, neg, pow_, rebuild, sub, substitute, term_map)
 from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError, flow_map,
                             sample_flow, samples_to_csv)
-from viscosym.spaces import base_space, eps, t, x, y
-from viscosym.vector_fields import Generator, parse_basis_combination, standard_basis
+from viscosym.linalg import SpectrumError
+from viscosym.spaces import b, base_space, eps, f, t, u, x, y
+from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
+                                    parse_basis_combination, standard_basis,
+                                    viscoelastic_pde)
 
 BASE = base_space()
 
@@ -71,15 +79,135 @@ class TestFlowMap:
         assert (fm.x_eps, fm.y_eps, fm.t_eps) == (x, y, t)
 
     def test_non_affine_rejected(self):
-        with pytest.raises(NonAffineError):
+        with pytest.raises(NonAffineError, match="not affine"):
             flow_map(Generator(xi1=BASE.parse("x^2")))
-        with pytest.raises(NonAffineError, match="unsupported linear"):
-            flow_map(Generator(xi1=BASE.parse("x")))   # pure scaling not in catalog
+        with pytest.raises(NonAffineError, match="not affine"):
+            flow_map(Generator(xi2=BASE.parse("a*x")))      # a coefficient that is no number
+        with pytest.raises(NonAffineError, match="xi3 is not affine in \\(x, y, t\\): 1 \\+ u"):
+            flow_map(Generator(xi3=BASE.parse("1 + u")))
 
-    def test_shear_is_nilpotent_but_unsupported(self):
-        # y d/dx alone is affine yet outside the rotation/translation catalog
-        with pytest.raises(NonAffineError):
-            flow_map(Generator(xi1=y))
+    def test_scaling(self):
+        fm = flow_map(Generator(xi1=x))
+        assert (fm.x_eps, fm.y_eps, fm.t_eps) == (mul(x, func("exp", eps)), y, t)
+
+    def test_shear_flow(self):
+        # y d/dx is nilpotent: its flow is a polynomial in eps
+        fm = flow_map(Generator(xi1=y))
+        assert (fm.x_eps, fm.y_eps, fm.t_eps) == (add(x, mul(eps, y)), y, t)
+
+    def test_b0_dilation(self):
+        fm = flow_map(X6)
+        assert fm.components == (mul(x, func("exp", eps)), mul(y, func("exp", eps)),
+                                 mul(t, func("exp", mul(Num(2), eps))))
+
+    def test_boost_and_off_center_dilation(self):
+        boost = flow_map(Generator(xi1=y, xi2=x))
+        half = Num(Fraction(1, 2))
+        plus, minus = func("exp", eps), func("exp", neg(eps))
+        assert boost.x_eps == add(mul(half, x, add(plus, minus)), mul(half, y, sub(plus, minus)))
+        fm = flow_map(Generator(xi1=sub(x, Num(3)), xi3=Num(Fraction(1, 7))))
+        assert fm.x_eps == add(Num(3), mul(sub(x, Num(3)), plus))
+        assert fm.t_eps == add(t, mul(Num(Fraction(1, 7)), eps))
+
+    @pytest.mark.parametrize("generator", [
+        {"xi1": "x + y", "xi2": "y - x"},       # eigenvalues 1 +- i
+        {"xi1": "2*y", "xi2": "x"},             # eigenvalues +-sqrt(2)
+    ], ids=["1+-i", "+-sqrt2"])
+    def test_spectrum_outside_the_closed_forms(self, generator):
+        gen = Generator(**{k: BASE.parse(v) for k, v in generator.items()})
+        with pytest.raises(SpectrumError, match="rational"):
+            flow_map(gen)
+
+    def test_catalog_flows_are_the_closed_forms(self):
+        # every combination of X1..X4 with coefficients in {-2, 0, 1, 3} gives the
+        # very nodes of the translation and fixed-point rotation formulas
+        for c1, c2, c3, c4 in itertools.product((-2, 0, 1, 3), repeat=4):
+            if any((c1, c2, c3, c4)):
+                fm = flow_map(basis_combination([c1, c2, c3, c4, 0]))
+                assert fm.components == _catalog_flow(c1, c2, c3, c4)
+
+
+def _catalog_flow(c1, c2, c3, c4):
+    """The closed forms of the flow of c1*X1 + c2*X2 + c3*X3 + c4*X4: a
+    translation, or a rotation by c4*eps about its fixed point."""
+    t_flow = add(t, mul(Num(c3), eps))
+    if c4 == 0:
+        return (add(x, mul(Num(c1), eps)), add(y, mul(Num(c2), eps)), t_flow)
+    px, py = Num(Fraction(c2, c4)), Num(Fraction(-c1, c4))
+    cos_we, sin_we = func("cos", mul(Num(c4), eps)), func("sin", mul(Num(c4), eps))
+    dx, dy = sub(x, px), sub(y, py)
+    return (add(px, mul(cos_we, dx), mul(sin_we, dy)),
+            add(py, mul(cos_we, dy), mul(Num(-1), sin_we, dx)), t_flow)
+
+
+X6 = Generator(xi1=x, xi2=y, xi3=mul(Num(2), t), phi2=mul(Num(-4), f), label="X6")
+_E = Sym("E", Kind.PARAMETER, 98)      # exp(eps) in the finite-transformation oracle
+
+
+def _powers_of_e(node):
+    """exp(k*eps) as E^k: exp(2*eps) and exp(eps)^2 are distinct kernel atoms."""
+    if isinstance(node, Func) and node.fn == "exp":
+        (factors, k), = term_map(node.args[0]).items()
+        assert factors == (eps,)
+        return pow_(_E, k)
+    return None
+
+
+def _moved_solution_residual(v, u0, pde, *, u_map=None, f_rate=None):
+    """compose(u1, f1) for the pair (u0, f0 = L u0) moved by the group element
+    exp(eps*v): u1 = e^(alpha*eps) u0 o phi_-eps and f1 = e^(beta*eps) f0 o phi_-eps
+    for phi1 = alpha*u and phi2 = beta*f.  ``u_map`` and ``f_rate`` replace the
+    point map that moves u and the rate of f, for the mutants."""
+    def back(components):
+        inverse = {c: substitute(comp, {eps: neg(eps)}) for c, comp in zip((x, y, t), components)}
+        return lambda e: rebuild(e, inverse.get)
+
+    def rate(coeff, atom):
+        return term_map(coeff).get((atom,), 0)
+
+    phi = flow_map(v).components
+    alpha, beta = rate(v.phi1, u), rate(v.phi2, f) if f_rate is None else f_rate
+    u1 = mul(func("exp", mul(Num(alpha), eps)), back(u_map or phi)(u0))
+    f1 = mul(func("exp", mul(Num(beta), eps)), back(phi)(pde.compose(u0, ZERO)))
+    return rebuild(pde.compose(u1, f1), _powers_of_e)
+
+
+U0 = BASE.parse("x^3*y - 2*x*y^2*t + t^3*x + y^4 - x^2*t^2")
+CLASS_REPRESENTATIVES = ["X1 + 2*X3 - X5", "X2 - X3/2 + 3*X5", "X4 + X1 + 2*X2 + X3 - X5",
+                         "X3 + 2*X5", "X5"]
+
+
+class TestFiniteTransformations:
+    """A symmetry's group element maps each solution pair (u, f = L u) to a
+    solution pair: an oracle for flows and generators at finite eps that does
+    not use the prolongation."""
+
+    @pytest.mark.parametrize("label", CLASS_REPRESENTATIVES)
+    def test_class_representatives_map_solutions_to_solutions(self, pde, label):
+        assert _moved_solution_residual(parse_basis_combination(label), U0, pde) is ZERO
+
+    def test_b0_dilation_maps_solutions_to_solutions(self):
+        pde_b0 = PDEInstance(substitute(viscoelastic_pde().residual, {b: ZERO}))
+        assert _moved_solution_residual(X6, U0, pde_b0) is ZERO
+        # f must scale as e^(-4 eps), not e^(-2 eps); and b != 0 breaks X6
+        assert _moved_solution_residual(X6, U0, pde_b0, f_rate=-2) is not ZERO
+        assert _moved_solution_residual(X6, U0, viscoelastic_pde()) is not ZERO
+
+    def test_wrong_direction_rotation_is_rejected(self, pde):
+        v = parse_basis_combination("X4 + X3")
+        wrong = flow_map(parse_basis_combination("-X4 + X3")).components
+        assert _moved_solution_residual(v, U0, pde, u_map=wrong) is not ZERO
+
+    @settings(max_examples=12, deadline=None)
+    @given(coeffs=st.lists(st.sampled_from([-2, -1, 0, Fraction(1, 2), 1, 3]),
+                           min_size=5, max_size=5).filter(any),
+           monomials=st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                                        st.tuples(*[st.integers(0, 2)] * 3)),
+                              min_size=1, max_size=3))
+    def test_drawn_combinations_map_solutions_to_solutions(self, pde, coeffs, monomials):
+        u0 = add(*[mul(Num(c), pow_(x, i), pow_(y, j), pow_(t, k))
+                   for c, (i, j, k) in monomials])
+        assert _moved_solution_residual(basis_combination(coeffs), u0, pde) is ZERO
 
 
 _DELTA = Sym("delta", Kind.PARAMETER, 97)   # second flow parameter of the oracle

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 from unittest import mock
@@ -98,6 +99,7 @@ CASES: list[list[str]] = [
     ["flow", "--generator=X4", SEEDS_JSON, "--eps=1:0:3"],
     ["flow", "--generator=X4", SEEDS_JSON, "--eps=0:1:x"],
     ["flow", '--generator={"xi1": "x^2"}', SEEDS_JSON, "--eps=0:1:2"],
+    # a dilation: its flow is x*exp(eps)
     ["flow", '--generator={"xi1": "x"}', SEEDS_JSON, "--eps=0:1:2"],
     *[["verify", f"--generator={g}"] for g in
       ("X1 +* X2", "2*(X1 + X3", "X4 ^ ^ 2", "X1 + X7", "q*X2", "X1 + * X2",
@@ -142,6 +144,19 @@ def pytest_generate_tests(metafunc):
 def test_golden_output(case):
     want = {key: case[key] for key in ("exit", "stdout", "stderr")}
     assert replay(case["argv"]) == want
+
+
+def test_dilation_run_samples_its_exponential():
+    # the one run a change of output recaptured: x -> x0*e^eps, y and t fixed
+    argv = ["flow", '--generator={"xi1": "x"}', SEEDS_JSON, "--eps=0:1:2"]
+    case = next(case for case in json.loads(CORPUS.read_text()) if case["argv"] == argv)
+    seeds = json.loads((GOLDEN / "seeds.json").read_text())
+    payload = json.loads(case["stdout"])
+    assert case["exit"] == 0 and payload["map"] == {"x": "x*exp(eps)", "y": "y", "t": "t"}
+    assert len(payload["rows"]) == 2 * len(seeds)
+    for seed_id, eps, x, y, t in payload["rows"]:
+        x0, y0, t0 = seeds[seed_id]
+        assert x == x0 * math.exp(eps) and (y, t) == (y0, t0)
 
 
 if __name__ == "__main__":

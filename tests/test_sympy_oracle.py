@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from viscosym.expr import (ZERO, Add, DomainEvalError, Func, Mul, Num, Pow, Sym, add,
+from viscosym.expr import (ZERO, Add, DomainEvalError, Func, Mul, Num, Pow, Sym,
+                           TermBudgetError, add,
                            canonicalize, diff_atom, mul, numerator, pow_, sub, substitute,
                            term_map)
 from viscosym.spaces import a, t, x, y
@@ -274,6 +275,8 @@ def canonical(recipe):
         return small(canonicalize(raw_tree(recipe)))
     except DomainEvalError:     # a zero base under a negative power
         reject()
+    except TermBudgetError:     # an expansion the kernel refuses to build
+        reject()
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,8 @@ def test_substitute_matches_subs(recipe, for_x, for_y):
     try:
         result = small(substitute(e, bindings), 60)
     except DomainEvalError:     # the substitution zeroed a base under a negative power
+        reject()
+    except TermBudgetError:     # an expansion the kernel refuses to build
         reject()
     expected = sympy_tree(recipe).subs({SP[x]: sympy_tree(for_x), SP[y]: sympy_tree(for_y)},
                                        simultaneous=True)
