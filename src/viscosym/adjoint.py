@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .expr import (Expr, ExprError, Num, ZERO, ONE, batch_evaluator, checked, diff_atom,
-                   func, mul, rebuild, sub)
+                   func, mul, sub, substitute)
 from .linalg import ExprMat, expr_matrix, identity_expr, mat_exp, mat_mul_expr
 from .spaces import s as S_PARAM
 from .vector_fields import StructureConstants, combo_text, commutator_table
@@ -59,8 +59,7 @@ class AdjointMatrix(NamedTuple):
 
 
 def _at_zero(m: ExprMat) -> ExprMat:
-    at_zero = {S_PARAM: ZERO}.get
-    return expr_matrix([[rebuild(e, at_zero) for e in row] for row in m])
+    return expr_matrix([[substitute(e, {S_PARAM: ZERO}) for e in row] for row in m])
 
 
 def _slope(m: ExprMat) -> ExprMat:

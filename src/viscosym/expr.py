@@ -35,7 +35,9 @@ enough to check rotation flows against their flow equation symbolically.
 
 Three helpers serve every module that takes trees apart: ``rebuild`` walks
 a tree through the canonical constructors with a per-node replacement hook
-(substitution, canonicalization and chart rewrites are all hooks),
+(substitution, canonicalization and chart rewrites are all hooks; a
+replacement is not walked again, so ``substitute`` is simultaneous and
+``{x: y, y: x}`` swaps x and y),
 ``term_map`` gives a sum's monomials with their rational coefficients, and
 ``merge_product`` adds the product of two monomials to such a term map
 with the product rules of ``mul`` (a sum built term by term never interns
@@ -85,7 +87,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
-    "ExprError", "JetOrderError", "TermBudgetError", "SubstitutionCycleError", "EvalError",
+    "ExprError", "JetOrderError", "TermBudgetError", "EvalError",
     "UnassignedSymbolError", "DomainEvalError",
     "Kind", "Expr", "Num", "Sym", "Jet", "Func", "UnknownFn", "Unknown",
     "Pow", "Mul", "Add",
@@ -93,7 +95,7 @@ __all__ = [
     "add", "mul", "pow_", "func", "neg", "sub", "div", "rational", "checked",
     "canonicalize", "rebuild", "term_map", "merge_product", "to_text", "signed_term",
     "join_signed", "atoms", "diff_atom", "total_derivative", "substitute",
-    "acyclic_bindings", "substitute_functions", "batch_evaluator",
+    "substitute_functions", "batch_evaluator",
     "eval_batch", "eval_numeric", "max_abs_sample", "numerator",
 ]
 
@@ -118,10 +120,6 @@ class JetOrderError(ExprError):
 
 class TermBudgetError(ExprError):
     """A sum, or a product of sums, would pass ``TERM_BUDGET`` terms."""
-
-
-class SubstitutionCycleError(ExprError):
-    """The substitution map has a cyclic dependency between its keys."""
 
 
 class EvalError(ExprError):
@@ -983,47 +981,18 @@ def total_derivative(e: Expr, v: Sym) -> Expr:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def acyclic_bindings(bindings: Mapping[Expr, Expr]) -> dict[Expr, Expr]:
-    """The bindings of a one-pass substitution, values made expressions.
-
-    Keys must be symbols or jet variables.  Self-referencing bindings such
-    as s -> s + d are fine, but a dependency cycle between two or more keys
-    raises SubstitutionCycleError: one pass would silently swap them, and
-    such maps are almost always caller bugs.
-    """
-    table = {k: _coerce(v) for k, v in bindings.items()}
-    for k in table:
-        if not isinstance(k, (Sym, Jet)):
-            raise ExprError("substitution keys must be symbols or jet variables")
-    keyset = set(table)
-    edges = {k: sorted((at for at in atoms(v) if at in keyset and at != k), key=_key)
-             for k, v in table.items()}
-    state: dict[Expr, int] = {}   # 1 = on stack, 2 = done
-
-    def visit(node: Expr, trail: tuple[Expr, ...]):
-        state[node] = 1
-        for nxt in edges[node]:
-            if state.get(nxt) == 1:
-                path = " -> ".join(to_text(p) for p in trail + (node, nxt))
-                raise SubstitutionCycleError(f"cyclic substitution: {path}")
-            if state.get(nxt) != 2:
-                visit(nxt, trail + (node,))
-        state[node] = 2
-
-    for k in table:
-        if state.get(k) != 2:
-            visit(k, ())
-    return table
-
-
 def substitute(e: Expr, bindings: Mapping[Expr, Expr], *,
                descend_unknown_args: bool = True) -> Expr:
-    """Simultaneous substitution of symbols/jets in a canonical e; the nodes
+    """Simultaneous substitution of symbols/jets in a canonical e: every
+    bound atom is replaced by its value in one pass, so values may name
+    other keys (``{x: y, y: x}`` swaps x and y) or their own key.  The nodes
     above a substituted atom are rebuilt through the canonical constructors,
-    and every other node is kept as it is.  The bindings are checked by
-    ``acyclic_bindings``.
+    and every other node is kept as it is.
     """
-    return rebuild(e, acyclic_bindings(bindings).get, descend_unknown_args)
+    table = {k: _coerce(v) for k, v in bindings.items()}
+    if not all(isinstance(k, (Sym, Jet)) for k in table):
+        raise ExprError("substitution keys must be symbols or jet variables")
+    return rebuild(e, table.get, descend_unknown_args)
 
 
 def substitute_functions(e: Expr, bodies: Mapping[UnknownFn, Expr]) -> Expr:

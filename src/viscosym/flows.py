@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Num, ZERO, checked, diff_atom, eval_batch, rebuild,
+from .expr import (Expr, ExprError, Num, ZERO, checked, diff_atom, eval_batch, substitute,
                    term_map, to_text)
 from .linalg import mat_exp
 from .spaces import eps as EPS
@@ -49,14 +49,13 @@ class FlowMap(NamedTuple):
     t_eps: Expr
 
     def _check(self):
-        at_zero = {EPS: ZERO}.get
         for coord, comp in zip((x, y, t), self.components):
-            if rebuild(comp, at_zero) != coord:
+            if substitute(comp, {EPS: ZERO}) != coord:
                 raise ExprError("flow is not the identity at eps = 0")
-        at_eps = {x: self.x_eps, y: self.y_eps, t: self.t_eps}.get
+        at_eps = dict(zip((x, y, t), self.components))
         gen = self.generator
         for comp, xi in zip(self.components, (gen.xi1, gen.xi2, gen.xi3)):
-            if diff_atom(comp, EPS) != rebuild(xi, at_eps):
+            if diff_atom(comp, EPS) != substitute(xi, at_eps):
                 raise ExprError("flow does not solve the flow equation of its generator")
 
     @property

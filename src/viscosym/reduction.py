@@ -131,8 +131,7 @@ def characteristic_invariants(v: Generator) -> SimilarityChart:
 
     Constant-coefficient case: coordinate functions whose coefficient
     vanishes are preferred, in the order x, y, t; the list is completed by
-    differences x_i - (k_i/k_j) x_j for coefficient pairs, until two
-    independent linear forms are found.
+    differences x_i - (k_i/k_j) x_j for coefficient pairs, up to two forms.
     """
     if v.is_zero():
         raise UnsupportedGeneratorError("the zero field has no similarity chart")
@@ -158,35 +157,15 @@ def characteristic_invariants(v: Generator) -> SimilarityChart:
 
 
 def _invariant_linear_forms(ks: tuple[Fraction, Fraction, Fraction]) -> list[Expr]:
+    """The first two of: the coordinates with k_i = 0, then x_i - (k_i/k_j) x_j
+    for the pairs with k_i, k_j != 0.  For k != 0 these two are independent:
+    two coordinates, a coordinate and a form without it, or two forms of
+    which only the second has t."""
     coords = (x, y, t)
-    forms: list[tuple[Expr, tuple[Fraction, ...]]] = []
-
-    def try_add(form: Expr, vec: tuple[Fraction, ...]):
-        if len(forms) == 2:
-            return
-        if forms:
-            (_, prev) = forms[0]
-            # 2x3 rank check via the three 2x2 minors
-            if all(prev[i] * vec[j] - prev[j] * vec[i] == 0
-                   for i in range(3) for j in range(i + 1, 3)):
-                return
-        forms.append((form, vec))
-
-    for i, coord in enumerate(coords):
-        if ks[i] == 0:
-            vec = tuple(Fraction(int(j == i)) for j in range(3))
-            try_add(coord, vec)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if ks[i] != 0 and ks[j] != 0:
-                ratio = Fraction(ks[i], ks[j])
-                form = sub(coords[i], mul(Num(ratio), coords[j]))
-                vec = tuple(Fraction(1) if m == i else (-ratio if m == j else Fraction(0))
-                            for m in range(3))
-                try_add(form, vec)
-    if len(forms) != 2:
-        raise UnsupportedGeneratorError("could not build two independent invariants")
-    return [form for form, _ in forms]
+    forms = [coord for coord, k in zip(coords, ks) if k == 0]
+    forms += [sub(coords[i], mul(Num(Fraction(ks[i], ks[j])), coords[j]))
+              for i, j in ((0, 1), (0, 2), (1, 2)) if ks[i] != 0 and ks[j] != 0]
+    return forms[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (Add, Expr, ExprError, Func, Jet, JetOrderError, Kind, Mul, Num,
-                   Pow, Sym, Unknown, UnknownFn, ZERO, ONE, acyclic_bindings, add, atoms,
-                   checked, diff_atom, join_signed, max_abs_sample, merge_product, mul,
-                   neg, pow_, signed_term, sub, substitute, term_map, to_text,
-                   total_derivative)
+                   Pow, Sym, Unknown, UnknownFn, ZERO, ONE, add, atoms, checked, diff_atom,
+                   join_signed, max_abs_sample, merge_product, mul, neg, pow_, signed_term,
+                   sub, substitute, term_map, to_text, total_derivative)
 from .linalg import solve_exact
 from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
@@ -602,14 +601,13 @@ def _substitute_terms(terms: _TermMap, bindings: Mapping[Expr, Expr], *,
     ``PDEInstance.compose`` binds u, f and their jets, inside opaque-function
     arguments too (``descend_unknown_args=True``); ``invariance_residual``
     (f by the solved form) and ``determining_equations`` (u_tt and its two
-    consequences) go on shell and leave those arguments untouched.  Keys
-    that depend on each other in a cycle raise SubstitutionCycleError.
+    consequences) go on shell and leave those arguments untouched.  Like
+    ``substitute``, it binds every key at once, so a value may name any key.
 
     A bound atom J that is a factor J^k of a term, k a positive integer,
     multiplies the rest of the term by the terms of its binding's k-th
     power.  A term that holds a bound atom anywhere else, inside a function
     argument or under any other power, goes through ``substitute``."""
-    bindings = acyclic_bindings(bindings)
     opaque = (Func, Pow, Unknown) if descend_unknown_args else (Func, Pow)
     powers: dict[Expr, _TermMap] = {}       # factor J^k -> terms of binding^k
     holds: dict[Expr, bool] = {}            # factor -> holds a bound atom

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscosym.expr import (DomainEvalError, EvalError, Jet, JetOrderError,
-                           Num, Pow, SubstitutionCycleError, TERM_BUDGET, TermBudgetError,
+from viscosym.expr import (DomainEvalError, EvalError, ExprError, Jet, JetOrderError,
+                           Num, Pow, TERM_BUDGET, TermBudgetError,
                            UnassignedSymbolError, UnknownFn, ZERO, ONE, _nth_root, add,
                            _derive, atoms, canonicalize, diff_atom, eval_numeric,
                            func, join_signed, max_abs_sample, mul, numerator, pow_, rebuild,
@@ -319,9 +319,21 @@ class TestSubstitution:
     def test_self_reference_allowed(self, space):
         assert substitute(s, {s: add(s, eps)}) == add(s, eps)
 
-    def test_cycle_detected(self, space):
-        with pytest.raises(SubstitutionCycleError):
-            substitute(x, {x: y, y: add(x, ONE)})
+    def test_swap_is_simultaneous(self, space):
+        # values that name each other's keys are not substituted again
+        assert substitute(space.parse("x + 2*y"), {x: y, y: x}) == space.parse("y + 2*x")
+        assert substitute(x, {x: y, y: add(x, ONE)}) == y
+
+    def test_keys_must_be_symbols_or_jets(self):
+        with pytest.raises(ExprError, match="^substitution keys must be symbols or jet variables$"):
+            substitute(x, {add(x, ONE): y})
+
+    def test_substitute_functions_with_swapped_arguments(self, space):
+        fn = UnknownFn("F", (x, y, t))
+        sp = space.with_unknowns(fn)
+        assert (substitute_functions(sp.parse("F(y, x, t)"), {fn: sp.parse("x^2 + 3*y")})
+                == sp.parse("y^2 + 3*x"))
+        assert isinstance(max_abs_sample(sp.parse("F(y, x, t) - F")), float)
 
     def test_substitute_functions(self, space):
         fn = UnknownFn("F", (x, y, t))

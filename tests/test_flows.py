@@ -15,7 +15,7 @@ from viscosym.expr import (ExprError, Func, Kind, Num, Sym, ZERO, add, eval_nume
 from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError, flow_map,
                             sample_flow, samples_to_csv)
 from viscosym.linalg import SpectrumError
-from viscosym.spaces import b, base_space, eps, f, t, u, x, y
+from viscosym.spaces import a, b, base_space, eps, f, t, u, x, y
 from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
                                     parse_basis_combination, standard_basis,
                                     viscoelastic_pde)
@@ -160,7 +160,7 @@ def _moved_solution_residual(v, u0, pde, *, u_map=None, f_rate=None):
     point map that moves u and the rate of f, for the mutants."""
     def back(components):
         inverse = {c: substitute(comp, {eps: neg(eps)}) for c, comp in zip((x, y, t), components)}
-        return lambda e: rebuild(e, inverse.get)
+        return lambda e: substitute(e, inverse)
 
     def rate(coeff, atom):
         return term_map(coeff).get((atom,), 0)
@@ -170,6 +170,13 @@ def _moved_solution_residual(v, u0, pde, *, u_map=None, f_rate=None):
     u1 = mul(func("exp", mul(Num(alpha), eps)), back(u_map or phi)(u0))
     f1 = mul(func("exp", mul(Num(beta), eps)), back(phi)(pde.compose(u0, ZERO)))
     return rebuild(pde.compose(u1, f1), _powers_of_e)
+
+
+def _moved_by_point_map(pde, u0, point_map):
+    """compose(u1, f1) for the pair (u0, f0 = L u0) composed with a point map,
+    whose values may name each other's coordinates."""
+    f0 = pde.compose(u0, ZERO)
+    return pde.compose(substitute(u0, point_map), substitute(f0, point_map))
 
 
 U0 = BASE.parse("x^3*y - 2*x*y^2*t + t^3*x + y^4 - x^2*t^2")
@@ -192,6 +199,18 @@ class TestFiniteTransformations:
         # f must scale as e^(-4 eps), not e^(-2 eps); and b != 0 breaks X6
         assert _moved_solution_residual(X6, U0, pde_b0, f_rate=-2) is not ZERO
         assert _moved_solution_residual(X6, U0, viscoelastic_pde()) is not ZERO
+
+    @pytest.mark.parametrize("point_map", [{x: y, y: x}, {x: neg(x)}, {x: y, y: neg(x)}],
+                             ids=["swap", "reflection", "quarter-turn"])
+    def test_discrete_maps_map_solutions_to_solutions(self, pde, point_map):
+        # a and b stay symbolic
+        assert _moved_by_point_map(pde, U0, point_map) is ZERO
+
+    def test_time_reversal_needs_a_zero(self, pde):
+        # t -> -t flips the sign of the a*(u_xxt + u_yyt) term alone
+        assert _moved_by_point_map(pde, U0, {t: neg(t)}) is not ZERO
+        pde_a0 = PDEInstance(substitute(pde.residual, {a: ZERO}))
+        assert _moved_by_point_map(pde_a0, U0, {t: neg(t)}) is ZERO
 
     def test_wrong_direction_rotation_is_rejected(self, pde):
         v = parse_basis_combination("X4 + X3")
@@ -218,7 +237,7 @@ def _obeys_composition_law(components):
     components are substituted simultaneously, since they mention each
     other's coordinates."""
     inner = dict(zip((x, y, t), (substitute(c, {eps: _DELTA}) for c in components)))
-    composed = tuple(rebuild(c, inner.get) for c in components)
+    composed = tuple(substitute(c, inner) for c in components)
     return composed == tuple(substitute(c, {eps: add(eps, _DELTA)}) for c in components)
 
 

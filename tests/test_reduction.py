@@ -1,5 +1,6 @@
 """Similarity charts, chain-rule reduction and the published-table audit."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from viscosym.expr import (Add, DomainEvalError, EvalError, ExprError, Jet, Mul, Num,
-                           Pow, SubstitutionCycleError, Sym, Unknown, UnknownFn, ZERO, add,
-                           atoms, diff_atom, eval_numeric, mul, numerator, pow_, sub, substitute,
+                           Pow, Sym, Unknown, UnknownFn, ZERO, add, atoms, diff_atom,
+                           eval_numeric, mul, numerator, pow_, sub, substitute,
                            substitute_functions, to_text, total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
-                                SimilarityChart, _second_singular_value,
+                                SimilarityChart, _invariant_linear_forms,
+                                _second_singular_value,
                                 UnsupportedGeneratorError,
                                 audit_reduction_table,
                                 characteristic_invariants,
@@ -37,7 +39,46 @@ def normalized_form(e):
     return mul(Num(Fraction(1, coeff)), e)
 
 
+def reference_invariant_linear_forms(ks):
+    """The rank-checked search that ``_invariant_linear_forms`` replaced: a
+    candidate form is kept only if its coefficient vector is independent of
+    the first one kept, until two are kept."""
+    coords = (x, y, t)
+    forms = []
+
+    def try_add(form, vec):
+        if len(forms) == 2:
+            return
+        if forms:
+            (_, prev) = forms[0]
+            if all(prev[i] * vec[j] - prev[j] * vec[i] == 0
+                   for i in range(3) for j in range(i + 1, 3)):
+                return
+        forms.append((form, vec))
+
+    for i, coord in enumerate(coords):
+        if ks[i] == 0:
+            try_add(coord, tuple(Fraction(int(j == i)) for j in range(3)))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if ks[i] != 0 and ks[j] != 0:
+                ratio = Fraction(ks[i], ks[j])
+                form = sub(coords[i], mul(Num(ratio), coords[j]))
+                vec = tuple(Fraction(1) if m == i else (-ratio if m == j else Fraction(0))
+                            for m in range(3))
+                try_add(form, vec)
+    assert len(forms) == 2
+    return [form for form, _ in forms]
+
+
 class TestCharts:
+    def test_linear_forms_match_the_rank_checked_search(self):
+        values = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-5, 3)]
+        triples = [ks for ks in itertools.product(values, repeat=3) if any(ks)]
+        assert len(triples) == 728
+        for ks in triples:
+            assert _invariant_linear_forms(ks) == reference_invariant_linear_forms(ks), ks
+
     def test_published_similarity_rows(self):
         # tool charts match the published rows up to sign/ordering of forms
         for label, pub_xi, pub_eta in published_similarity_rows():
@@ -284,10 +325,10 @@ class TestBindJets:
                 assert (pde.compose(u_expr, f_expr)
                         == reference_compose(pde, u_expr, f_expr)), to_text(chart.xi)
 
-    def test_cyclic_bodies_raise(self, pde):
-        # u = f and f = u in one pass would silently swap the two
-        with pytest.raises(SubstitutionCycleError, match="^cyclic substitution: u -> f -> u$"):
-            pde.compose(f, u)
+    def test_bodies_that_name_each_other_bind_at_once(self, pde):
+        # u = f and f = u bind simultaneously: the residual with u and f swapped
+        assert pde.compose(f, u) == BASE.parse(
+            "f_tt - a*f_xxt - a*f_yyt - b*f_xx - b*f_yy - u")
 
     def test_opaque_arguments_are_bound(self, pde):
         # compose binds f_x inside F's arguments; going on shell does not
