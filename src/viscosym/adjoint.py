@@ -44,8 +44,7 @@ class AdjointMatrix(NamedTuple):
     def _check(self):
         if _at_zero(self.entries) != identity_expr(len(self.labels)):
             raise ExprError(f"Ad matrix for t={self.t} is not the identity at s=0")
-        slope = _slope(self.entries)
-        generator = _at_zero(slope)
+        slope, generator = _slope_and_generator(self.entries)
         if not all(isinstance(e, Num) for row in generator for e in row):
             raise ExprError(f"Ad matrix for t={self.t} has a non-rational slope at s=0")
         if mat_mul_expr(generator, self.entries) != slope:
@@ -59,11 +58,15 @@ class AdjointMatrix(NamedTuple):
 
 
 def _at_zero(m: ExprMat) -> ExprMat:
-    return expr_matrix([[substitute(e, {S_PARAM: ZERO}) for e in row] for row in m])
+    return expr_matrix([[e if isinstance(e, Num) else substitute(e, {S_PARAM: ZERO})
+                         for e in row] for row in m])
 
 
-def _slope(m: ExprMat) -> ExprMat:
-    return expr_matrix([[diff_atom(e, S_PARAM) for e in row] for row in m])
+@functools.lru_cache(maxsize=64)
+def _slope_and_generator(m: ExprMat) -> tuple[ExprMat, ExprMat]:
+    """m'(s) and m'(0), for the construction check and ``adjoint_matrix``."""
+    slope = expr_matrix([[diff_atom(e, S_PARAM) for e in row] for row in m])
+    return slope, _at_zero(slope)
 
 
 @functools.lru_cache(maxsize=64)
@@ -90,21 +93,26 @@ def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> Adjoi
         constants = commutator_table()
     neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
     m = AdjointMatrix(t, mat_exp(neg_ad, S_PARAM), constants.labels)
-    if _at_zero(_slope(m.entries)) != expr_matrix([[Num(v) for v in row] for row in neg_ad]):
+    if _slope_and_generator(m.entries)[1] != expr_matrix([[Num(v) for v in row] for row in neg_ad]):
         raise ExprError(f"Ad matrix for t={t} is not generated by -ad(X_{t})")
     return m
 
 
 def adjoint_matrices(constants: StructureConstants | None = None) -> tuple[AdjointMatrix, ...]:
-    """Ad(exp(s*X_t)) for t = 1..dim.  Each algebra's matrices are built and
-    self-checked once per process; the returned tuple is shared between
-    callers and immutable."""
+    """Ad(exp(s*X_t)) for t = 1..dim.  Each is built and self-checked once per
+    process and algebra, on first use here or in ``apply_adjoint``; the
+    returned tuple is shared between callers and immutable."""
     return _adjoint_matrices(constants if constants is not None else commutator_table())
 
 
 @functools.lru_cache(maxsize=8)
 def _adjoint_matrices(constants: StructureConstants) -> tuple[AdjointMatrix, ...]:
-    return tuple(adjoint_matrix(t, constants) for t in range(1, constants.dim + 1))
+    return tuple(_shared_matrix(constants, t) for t in range(1, constants.dim + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_matrix(constants: StructureConstants, t: int) -> AdjointMatrix:
+    return adjoint_matrix(t, constants)
 
 
 # The adjoint table as printed in the published reference (row X_t, column
@@ -184,15 +192,14 @@ class NormalizationResult(NamedTuple):
 
 def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tuple[float, ...]:
     """Apply the left-to-right product of Ad matrices M_{t1}(s1) M_{t2}(s2)...
-    to a coefficient vector (so the last letter acts on v first)."""
+    to a coefficient vector (so the last letter acts on v first).  Only the
+    matrices the word names are built, so an empty word builds none."""
     constants = commutator_table()
-    matrices = adjoint_matrices(constants)
-    dim = len(matrices)
     vec = [float(comp) for comp in v]
-    if len(vec) != dim:
-        raise ExprError(f"coefficient vectors have {dim} components, got {len(vec)}")
+    if len(vec) != constants.dim:
+        raise ExprError(f"coefficient vectors have {constants.dim} components, got {len(vec)}")
     for t, value in reversed(list(word)):
-        m = matrices[constants.basis_index(t)].at(float(value))
+        m = _shared_matrix(constants, constants.basis_index(t) + 1).at(float(value))
         vec = [sum(m[i][j] * vec[j] for j in range(len(vec))) for i in range(len(m))]
     return tuple(vec)
 

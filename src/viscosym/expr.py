@@ -778,6 +778,8 @@ def neg(e: Expr) -> Expr:
 
 
 def sub(e1: Expr, e2: Expr) -> Expr:
+    if e2 is ZERO:          # e1 is canonical, so it is its own sum with 0
+        return _coerce(e1)
     return add(e1, neg(_coerce(e2)))
 
 
@@ -919,6 +921,8 @@ def _derive(e: Expr, datom: Callable[[Expr], Expr]) -> Expr:
     """Generic derivation: ``datom`` gives the derivative of Sym/Jet; opaque
     functions follow the chain rule through their argument slots.  Each
     distinct node is derived once per call."""
+    if isinstance(e, Num):
+        return ZERO
     done: dict[Expr, Expr] = {}
 
     def derive(node: Expr) -> Expr:

@@ -1,8 +1,9 @@
 """Small exact and symbolic matrix helpers.
 
 Rational matrices are lists of lists of Fraction; symbolic matrices are
-tuples of tuples of Expr.  Sizes here are tiny (at most 6x6), so plain
-Gaussian elimination is fine.
+tuples of tuples of Expr.  Exact linear systems are sparse rows, reduced
+by one eliminator, ``rref``, that keeps an incremental pivot table and
+touches only nonzero entries.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .expr import Expr, ExprError, Num, ZERO, add, func, mul, pow_
+from .expr import Expr, ExprError, Num, ONE, ZERO, add, func, mul, pow_
 
 __all__ = [
-    "ExprMat", "SpectrumError", "MAX_ROOT_SEARCH", "solve_exact", "mat_exp",
+    "ExprMat", "SpectrumError", "MAX_ROOT_SEARCH", "rref", "solve", "mat_exp",
     "expr_matrix", "mat_mul_expr", "identity_expr",
 ]
 
@@ -33,40 +34,38 @@ class SpectrumError(ExprError):
     """The characteristic polynomial does not split into z - lam, z^2 + w^2."""
 
 
-def solve_exact(rows: Sequence[Sequence[Fraction]],
-                rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve a (possibly overdetermined) exact linear system.
+def rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced row-echelon form of sparse rows (dicts column -> rational)
+    as a pivot table, pivot column -> row.  A row is reduced by the table as
+    it arrives, and its pivot is cleared from the rows before it; the form
+    is unique, so it does not depend on the row order."""
+    table: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: Fraction(v) for c, v in given.items() if v}
+        for c in [c for c in row if c in table]:
+            row = _combine(row, row[c], table[c])
+        if row:
+            pivot = min(row)
+            row = {c: v / row[pivot] for c, v in row.items()}
+            for p, other in table.items():
+                if pivot in other:
+                    table[p] = _combine(other, other[pivot], row)
+            table[pivot] = row
+    return table
 
-    Returns one solution with free variables set to zero, or None when the
-    system is inconsistent.  Callers needing uniqueness verify the result.
-    """
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1 if m else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [vi - factor * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    out = [Fraction(0)] * ncols
-    for row, col in pivots:
-        out[col] = m[row][ncols]
-    return out
+
+def _combine(row: dict[int, Fraction], factor: Fraction, by: dict[int, Fraction]):
+    """row - factor * by, without its zero entries."""
+    return {c: v for c in row.keys() | by.keys() if (v := row.get(c, 0) - factor * by.get(c, 0))}
+
+
+def solve(rows: Iterable[Mapping[int, Fraction]], n: int, m: int) -> list[list[Fraction] | None]:
+    """One solution x of A x = b, free variables 0, for each column b of B,
+    from the ``rref`` of the sparse rows of [A | B] (n columns, then m);
+    None where a pivot row with no entry in A has one in b's column."""
+    table, zero = rref(rows), Fraction(0)
+    return [None if any(p >= n and col in row for p, row in table.items())
+            else [table.get(k, {}).get(col, zero) for k in range(n)] for col in range(n, n + m)]
 
 
 def _taylor_row(root: int, j: int, phase: tuple[int, ...], n: int) -> list[int]:
@@ -109,8 +108,9 @@ def _interpolant(traces: tuple[int, ...], d: int, param: Expr) -> tuple:
         raise SpectrumError(f"exp(p*A) needs eigenvalues lam and +-i*w of A with rational "
                             f"lam and w (of modulus at most {MAX_ROOT_SEARCH} in d*A)")
     out = []
-    for index, (f, scale) in enumerate(parts):
-        gamma = solve_exact(rows, [int(i == index) for i in range(n)])
+    # V gamma = e_index for every index at once: one reduction of [V | I]
+    inverse = solve([{**dict(enumerate(row)), n + i: 1} for i, row in enumerate(rows)], n, n)
+    for gamma, (f, scale) in zip(inverse, parts):
         den = math.lcm(*[g.denominator for g in gamma])
         out.append((f, tuple((k, int(g * den)) for k, g in enumerate(gamma) if g), den * scale))
     return tuple(out)
@@ -154,7 +154,7 @@ def expr_matrix(rows: Sequence[Sequence[Expr]]) -> ExprMat:
 
 
 def identity_expr(n: int) -> ExprMat:
-    return tuple(tuple(Num(Fraction(int(i == j))) for j in range(n)) for i in range(n))
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_mul_expr(m1: ExprMat, m2: ExprMat) -> ExprMat:

@@ -310,6 +310,21 @@ def _flagged(column: list[float], failed: dict[int, EvalError]) -> list[float]:
     return column
 
 
+def _draws(seed: int, n_functions: int, n_points: int) -> tuple[list, list, list]:
+    """``verify_reduction``'s weights of h and g and its points: the numbers
+    ``randint(-3, 3)`` and ``uniform`` give, drawn as they draw them: the
+    rejection loop of ``random._randbelow(7)``, and lo + (hi - lo) * random()."""
+    rng = random.Random(seed)
+    weights = (r - 3 for r in iter(functools.partial(rng.getrandbits, 3), None) if r < 7)
+    hs, gs, points = [], [], []
+    for _ in range(n_functions):
+        for ws in (hs, gs):             # c_ij in the order of _EXPONENTS, c_00 first
+            ws.append([next(weights) + (k == 0) for k in range(len(_EXPONENTS))])
+        points += [[0.6 + 1.4 * rng.random(), 0.6 + 1.4 * rng.random(), 0.6 + 1.4 * rng.random(),
+                    0.5 + 1.5 * rng.random(), 0.5 + 1.5 * rng.random()] for _ in range(n_points)]
+    return hs, gs, points
+
+
 def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
                      reduced: ReducedPDE | Expr, *, seed: int = 0,
                      n_functions: int = 10, n_points: int = 20,
@@ -338,13 +353,7 @@ def verify_reduction(pde: PDEInstance, chart: SimilarityChart,
     the candidate's jets, else of the candidate.
     """
     candidate = reduced.residual if isinstance(reduced, ReducedPDE) else reduced
-    rng = random.Random(seed)
-    hs, gs, points = [], [], []
-    for _ in range(n_functions):
-        for ws in (hs, gs):             # c_ij in the order of _EXPONENTS, c_00 first
-            ws.append([rng.randint(-3, 3) + (k == 0) for k in range(len(_EXPONENTS))])
-        points += [[rng.uniform(0.6, 2.0) for _ in "xyt"] + [rng.uniform(0.5, 2.0) for _ in "ab"]
-                   for _ in range(n_points)]
+    hs, gs, points = _draws(seed, n_functions, n_points)
     px, py, pt, pa, pb = zip(*points) if points else [()] * 5
     columns = {x: px, y: py, t: pt, A_SYM: pa, B_SYM: pb}
     # per point: original jets, residual, candidate jets, candidate; the first of them raises

@@ -23,7 +23,7 @@ from .expr import (Add, Expr, ExprError, Func, Jet, JetOrderError, Kind, Mul, Nu
                    Pow, Sym, Unknown, UnknownFn, ZERO, ONE, add, atoms, checked, diff_atom,
                    join_signed, max_abs_sample, merge_product, mul, neg, pow_, signed_term,
                    sub, substitute, term_map, to_text, total_derivative)
-from .linalg import solve_exact
+from .linalg import solve
 from .spaces import VarSpace, base_space, c1, c2, c3, c4, c5, f, t, u, x, y
 
 __all__ = [
@@ -74,8 +74,10 @@ class Generator(NamedTuple):
     def apply(self, e: Expr) -> Expr:
         """Act as a first-order differential operator on a function of
         (x, y, t, u, f)."""
-        return add(*[mul(coeff, diff_atom(e, coord))
-                     for coord, coeff in zip(_COORDS, self.coefficients)])
+        if isinstance(e, Num):
+            return ZERO
+        return add(*[mul(coeff, d) for coord, coeff in zip(_COORDS, self.coefficients)
+                     if coeff is not ZERO and (d := diff_atom(e, coord)) is not ZERO])
 
     def __add__(self, other: "Generator") -> "Generator":
         return Generator(*[add(p, q) for p, q in
@@ -223,21 +225,19 @@ def bracket(v: Generator, w: Generator) -> Generator:
                        for vk, wk in zip(v.coefficients, w.coefficients)])
 
 
-def express_in_span(target: Generator, basis: Sequence[Generator]) -> list[Fraction] | None:
-    """Exact coordinates of ``target`` in ``basis``, or None if outside the span.
-
-    Each slot is matched monomial by monomial on term maps, the canonical
-    form of a sum, so the exact solve alone decides membership; its reduced
-    row echelon form, and so its answer, does not depend on the row order."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+def express_in_span(targets: Sequence[Generator],
+                    basis: Sequence[Generator]) -> list[list[Fraction] | None]:
+    """Exact coordinates of each target in ``basis``, or None for one outside
+    the span, from one reduction of [basis | targets].  Each slot is matched
+    monomial by monomial on term maps, the canonical form of a sum, so the
+    exact solve alone decides membership; its reduced row echelon form, and
+    so its answer, does not depend on the row order."""
+    rows: list[dict[int, Fraction]] = []
     for slot in range(5):
-        basis_maps = [term_map(gen.coefficients[slot]) for gen in basis]
-        target_map = term_map(target.coefficients[slot])
-        for mono in set(target_map).union(*basis_maps):
-            rows.append([bm.get(mono, Fraction(0)) for bm in basis_maps])
-            rhs.append(target_map.get(mono, Fraction(0)))
-    return solve_exact(rows, rhs)
+        maps = [term_map(gen.coefficients[slot]) for gen in (*basis, *targets)]
+        for mono in set().union(*maps):
+            rows.append({col: tm[mono] for col, tm in enumerate(maps) if mono in tm})
+    return solve(rows, len(basis), len(targets))
 
 
 @checked
@@ -252,11 +252,9 @@ class StructureConstants(NamedTuple):
 
     def _check(self):
         n = len(self.labels)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise ExprError("structure constants are not antisymmetric")
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            if any(p != -q for p, q in zip(self.c[i][j], self.c[j][i])):
+                raise ExprError("structure constants are not antisymmetric")
         # with antisymmetry the Jacobi sum is alternating in (i, j, k), so
         # i < j < k suffices, and only the nonzero constants contribute
         nonzero = [[[(m, v) for m, v in enumerate(row) if v] for row in plane]
@@ -321,15 +319,12 @@ def _commutator_table(basis: tuple[Generator, ...]) -> StructureConstants:
     labels = tuple(gen.label or f"X{i + 1}" for i, gen in enumerate(basis))
     n = len(basis)
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = express_in_span(bracket(basis[i], basis[j]), basis)
-            if coeffs is None:
-                raise NotClosedError(
-                    f"[{labels[i]}, {labels[j]}] is not in the span of the basis")
-            for k, coeff in enumerate(coeffs):
-                tensor[i][j][k] = coeff
-                tensor[j][i][k] = -coeff
+    pairs = list(itertools.combinations(range(n), 2))
+    spans = express_in_span([bracket(basis[i], basis[j]) for i, j in pairs], basis)
+    for (i, j), coeffs in zip(pairs, spans):
+        if coeffs is None:
+            raise NotClosedError(f"[{labels[i]}, {labels[j]}] is not in the span of the basis")
+        tensor[i][j], tensor[j][i] = coeffs, [-v for v in coeffs]
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
     return StructureConstants(frozen, labels)
 

@@ -1,5 +1,6 @@
 """Adjoint matrices, the published-table audit and the optimal system."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -114,6 +115,52 @@ class TestCache:
         m4 = adjoint_matrix(4)
         assert _entry_evaluator(m4.entries) is _entry_evaluator(matrices[3].entries)
         assert m4.at(0.5) == matrices[3].at(0.5)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The t of each Ad matrix built from here on; the per-generator and
+    per-algebra caches start empty for this test only."""
+    built = []
+    real = adjoint.adjoint_matrix
+
+    def counting(t, constants=None):
+        built.append(t)
+        return real(t, constants)
+
+    monkeypatch.setattr(adjoint, "adjoint_matrix", counting)
+    for name in ("_shared_matrix", "_adjoint_matrices"):
+        monkeypatch.setattr(adjoint, name, functools.lru_cache(getattr(adjoint, name).__wrapped__))
+    return built
+
+
+class TestLazyBuild:
+    """``apply_adjoint`` builds only the Ad matrices its word names, once
+    each, and ``adjoint_matrices`` hands out those very objects."""
+
+    @pytest.mark.parametrize("v", [(0, 0, 0, 0, 2), (2, 0, 1, 0, -1), (0, 0, 3, 0, 1)],
+                             ids=["4b", "1", "4"])
+    def test_an_empty_word_builds_no_matrix(self, builds, v):
+        assert normalize(v).word == ()
+        assert builds == []
+
+    def test_class_3_builds_x1_and_x2_only(self, builds):
+        assert [t for t, _ in normalize((3, -1, -2, -3, 0)).word] == [1, 2]
+        assert sorted(builds) == [1, 2]
+        normalize((1, 2, 0, 1, 0))
+        assert sorted(builds) == [1, 2]
+        assert [m.t for m in adjoint_matrices()] == [1, 2, 3, 4, 5]
+        assert sorted(builds) == [1, 2, 3, 4, 5]
+
+    def test_the_matrices_apply_adjoint_used_are_the_shared_ones(self, monkeypatch):
+        used = []
+        at = AdjointMatrix.at
+        monkeypatch.setattr(AdjointMatrix, "at", lambda m, value: used.append(m) or at(m, value))
+        normalize((3, -1, -2, -3, 0))
+        normalize((1, 2, 0, 0, 0))
+        mats = adjoint_matrices()
+        assert [m.t for m in used] == [2, 1, 4]       # the last letter acts first
+        assert used[0] is mats[1] and used[1] is mats[0] and used[2] is mats[3]
 
 
 class TestExpSeries:

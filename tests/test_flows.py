@@ -17,8 +17,7 @@ from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError
 from viscosym.linalg import SpectrumError
 from viscosym.spaces import a, b, base_space, eps, f, t, u, x, y
 from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
-                                    parse_basis_combination, standard_basis,
-                                    viscoelastic_pde)
+                                    parse_basis_combination, viscoelastic_pde)
 
 BASE = base_space()
 

@@ -14,7 +14,7 @@ from viscosym.expr import (Add, DomainEvalError, EvalError, ExprError, Jet, Mul,
                            eval_numeric, mul, numerator, pow_, sub, substitute,
                            substitute_functions, to_text, total_derivative)
 from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
-                                SimilarityChart, _invariant_linear_forms,
+                                SimilarityChart, _draws, _invariant_linear_forms,
                                 _second_singular_value,
                                 UnsupportedGeneratorError,
                                 audit_reduction_table,
@@ -24,7 +24,7 @@ from viscosym.reduction import (G_FN, H_FN, ReducedPDE, ReductionError,
                                 verify_reduction)
 from viscosym.spaces import (a, b, base_space, eta, f, g, h, reduced_space, t,
                              u, x, xi, y)
-from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
+from viscosym.vector_fields import (Generator, PDEInstance,
                                     general_ansatz, invariance_residual,
                                     parse_basis_combination, standard_basis)
 
@@ -393,6 +393,33 @@ def reference_max_discrepancy(pde, chart, candidate, seed, n_functions, n_points
             rhs = eval_numeric(reduced_expr, {xi: cxi, eta: ceta, a: pa, b: pb})
             worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def reference_draws(seed, n_functions, n_points):
+    """verify_reduction's draws as randint and uniform make them."""
+    rng = random.Random(seed)
+    hs, gs, points = [], [], []
+    for _ in range(n_functions):
+        for ws in (hs, gs):
+            ws.append([rng.randint(-3, 3) + (k == 0) for k in range(15)])
+        points += [[rng.uniform(0.6, 2.0) for _ in "xyt"] + [rng.uniform(0.5, 2.0) for _ in "ab"]
+                   for _ in range(n_points)]
+    return hs, gs, points
+
+
+class TestDraws:
+    """The seed contract: the check draws the very numbers that randint(-3, 3)
+    and uniform draw from random.Random(seed), in the same order.  A change
+    to how CPython's random draws them fails here."""
+
+    def test_draws_match_randint_and_uniform(self):
+        for seed in range(400):
+            assert _draws(seed, 10, 20) == reference_draws(seed, 10, 20), seed
+
+    @pytest.mark.parametrize("shape", [(0, 20), (1, 1), (3, 0), (25, 7)])
+    def test_other_shapes(self, shape):
+        for seed in (0, 1, 12345, 2 ** 40):
+            assert _draws(seed, *shape) == reference_draws(seed, *shape)
 
 
 class TestVerificationIdentity:
