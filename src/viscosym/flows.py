@@ -6,7 +6,12 @@ coefficients has the flow exp(eps*M) (x, y, t, 1), M = [[A, b], [0, 0]],
 exponentiated exactly by ``linalg.mat_exp`` whenever the spectrum of A is
 rational or pairs +-i*w with rational w: translations, rotations,
 dilations, shears and their combinations.  u- and f-components are
-ignored: the flow lives on the base space.
+ignored: the flow lives on the base space, and a ``FlowMap`` carries the
+base-space part Generator(xi1, xi2, xi3) of the field it was asked for.
+Each flow is built and checked once per (xi1, xi2, xi3) and process, so
+fields that differ only in their u- and f-components or their label share
+one ``FlowMap``, which is immutable; a field without a closed form raises
+again on every call.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ from .spaces import eps as EPS
 from .spaces import t, x, y
 from .vector_fields import Generator
 
-__all__ = ["FlowMap", "FlowSample", "NonAffineError", "MAX_EPS_SAMPLES", "flow_map",
-           "sample_flow", "samples_to_csv"]
+__all__ = ["FlowMap", "FlowSample", "NonAffineError", "MAX_EPS_SAMPLES", "MAX_FLOW_POINTS",
+           "flow_map", "sample_flow", "samples_to_csv"]
 
 # largest n of an (lo, hi, n) eps range: samples are held in one list and
 # printed at once, so an unbounded n is unbounded time and memory
 MAX_EPS_SAMPLES = 100_000
+# largest number of seeds times n: every point is held in memory at once
+MAX_FLOW_POINTS = 1_000_000
 
 
 class NonAffineError(ExprError):
@@ -68,7 +75,17 @@ class FlowMap(NamedTuple):
 
 
 def flow_map(v: Generator) -> FlowMap:
-    """Exact flow of the affine system attached to the generator."""
+    """Exact flow of the affine system attached to the generator's
+    base-space part Generator(xi1, xi2, xi3), which the returned ``FlowMap``
+    carries.  It is built and checked once per (xi1, xi2, xi3) and process
+    and shared between callers.  A field without a closed form raises
+    ``NonAffineError`` or ``SpectrumError`` again on every call."""
+    return _flow_map(v.xi1, v.xi2, v.xi3)
+
+
+@functools.lru_cache(maxsize=64)
+def _flow_map(xi1: Expr, xi2: Expr, xi3: Expr) -> FlowMap:
+    v = Generator(xi1, xi2, xi3)
     rows, slots = [], ((x,), (y,), (t,), ())
     for coeff, label in ((v.xi1, "xi1"), (v.xi2, "xi2"), (v.xi3, "xi3")):
         terms = term_map(coeff)        # kx*x + ky*y + kt*t + k0, and nothing else
@@ -102,6 +119,9 @@ def sample_flow(fm: FlowMap, seeds: Sequence[Sequence[float]],
         raise ExprError("eps sampling needs n >= 2")
     if n > MAX_EPS_SAMPLES:
         raise ExprError(f"eps sampling takes at most {MAX_EPS_SAMPLES} values, got {n}")
+    if len(seeds) * n > MAX_FLOW_POINTS:
+        raise ExprError(f"flow sampling takes at most {MAX_FLOW_POINTS} points, got "
+                        f"{len(seeds)} seeds x {n} eps values = {len(seeds) * n}")
     if not (lo < hi):
         raise ExprError("eps range needs lo < hi")
     eps_values = [lo + (hi - lo) * k / (n - 1) for k in range(n)]

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -444,3 +445,21 @@ class TestInputValidation:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: eps sampling takes at most 100000 values, got 1000000000\n"
         assert elapsed < 1.0
+
+    def test_flow_point_count_is_capped(self, capsys, tmp_path):
+        # 100 seeds x 100000 values would hold 10^7 points at once: the
+        # product is refused before any column is built
+        seeds = tmp_path / "many.json"
+        seeds.write_text(json.dumps([[1.0, 0.0, float(k)] for k in range(100)]))
+        tracemalloc.start()
+        try:
+            code = run(["flow", "--generator", "X4", "--seeds", str(seeds),
+                        "--eps", "0:1:100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: flow sampling takes at most 1000000 points, "
+                                "got 100 seeds x 100000 eps values = 10000000\n")
+        assert peak < 2_000_000

@@ -3,6 +3,7 @@ solutions, sampling."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viscosym import flows
+from viscosym.adjoint import normalize
 from viscosym.expr import (ExprError, Func, Kind, Num, Sym, ZERO, add, eval_numeric, func,
                            mul, neg, pow_, rebuild, sub, substitute, term_map)
 from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError, flow_map,
                             sample_flow, samples_to_csv)
-from viscosym.linalg import SpectrumError
+from viscosym.linalg import SpectrumError, mat_exp
 from viscosym.spaces import a, b, base_space, eps, f, t, u, x, y
 from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
                                     parse_basis_combination, viscoelastic_pde)
@@ -119,11 +122,61 @@ class TestFlowMap:
 
     def test_catalog_flows_are_the_closed_forms(self):
         # every combination of X1..X4 with coefficients in {-2, 0, 1, 3} gives the
-        # very nodes of the translation and fixed-point rotation formulas
+        # very nodes of the translation and fixed-point rotation formulas, and the
+        # cached flow equals a fresh build
         for c1, c2, c3, c4 in itertools.product((-2, 0, 1, 3), repeat=4):
             if any((c1, c2, c3, c4)):
-                fm = flow_map(basis_combination([c1, c2, c3, c4, 0]))
+                gen = basis_combination([c1, c2, c3, c4, 0])
+                fm = flow_map(gen)
                 assert fm.components == _catalog_flow(c1, c2, c3, c4)
+                assert fm == flows._flow_map.__wrapped__(gen.xi1, gen.xi2, gen.xi3)
+
+
+class TestFlowCache:
+    """Each flow is built and checked once per (xi1, xi2, xi3) and process."""
+
+    def test_a_second_call_returns_the_same_flow(self):
+        v = parse_basis_combination("X4 - 2*X3 + 3*X5")
+        assert flow_map(v) is flow_map(v)
+        assert flow_map(parse_basis_combination("X4 - 2*X3 + 3*X5")) is flow_map(v)
+
+    def test_a_flow_is_built_once(self, monkeypatch):
+        v = Generator(xi1=y, xi2=neg(x), xi3=Num(Fraction(5, 11)))
+        flows._flow_map.cache_clear()
+        calls = []
+        monkeypatch.setattr(flows, "mat_exp", lambda *args: calls.append(args) or mat_exp(*args))
+        assert flow_map(v) is flow_map(v) is flow_map(v)
+        assert len(calls) == 1
+
+    def test_fields_with_one_base_part_share_a_flow(self):
+        # class-3 representatives X4 + c1*X3 + c2*X5 that differ only in c2,
+        # and labels, reach the one flow of the base-space part
+        base = Generator(xi1=y, xi2=neg(x), xi3=Num(-2))
+        fields = [parse_basis_combination(text) for text in
+                  ("X4 - 2*X3", "X4 - 2*X3 + 3*X5", "X4 - 2*X3 - X5/2")]
+        fields += [Generator(xi1=y, xi2=neg(x), xi3=Num(-2), label=label) for label in "PQ"]
+        assert {id(flow_map(v)) for v in fields} == {id(flow_map(base))}
+        assert flow_map(fields[1]).generator == base
+        assert flow_map(fields[1]).generator.label is None
+
+    def test_errors_are_raised_on_every_call(self):
+        non_affine = Generator(xi1=BASE.parse("x^2"))
+        spiral = Generator(xi1=BASE.parse("x + y"), xi2=BASE.parse("y - x"))  # 1 +- i
+        for _ in range(2):
+            with pytest.raises(NonAffineError, match="not affine"):
+                flow_map(non_affine)
+            with pytest.raises(SpectrumError, match="rational"):
+                flow_map(spiral)
+
+    def test_cached_and_fresh_flows_sample_the_same_rows(self):
+        # a class-3 representative, built as the classify-flow bench builds it
+        rep = normalize((2, 3, 2, -3, 2)).cls.representative
+        v = basis_combination([Fraction(c) for c in rep])
+        seeds, eps_range = [(1.0, 0.0, 0.0), (0.5, -0.5, 1.0)], (0.0, 6.0, 13)
+        cached = sample_flow(flow_map(v), seeds, eps_range)
+        fresh = flows._flow_map.__wrapped__(v.xi1, v.xi2, v.xi3)
+        assert cached == sample_flow(fresh, seeds, eps_range)
+        assert cached == sample_flow(flow_map(v), seeds, eps_range)
 
 
 def _catalog_flow(c1, c2, c3, c4):
@@ -342,3 +395,27 @@ class TestSampling:
             sample_flow(fm, [(1, 0, 0)], (0.0, 1.0, MAX_EPS_SAMPLES + 1))
         with pytest.raises(ExprError, match="at most"):
             sample_flow(fm, [(1, 0, 0)], (0.0, 1.0, 10 ** 9))
+
+    def test_point_cap(self, basis):
+        # 11 seeds x 100000 values is refused before any column is built
+        fm = flow_map(basis[3])
+        seeds = [(1.0, 0.0, 0.0)] * 11
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExprError, match="at most 1000000 points, got 11 seeds x "
+                                                "100000 eps values = 1100000"):
+                sample_flow(fm, seeds, (0.0, 1.0, MAX_EPS_SAMPLES))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # the N check comes first, so its message is unchanged
+        with pytest.raises(ExprError, match="eps sampling takes at most 100000 values"):
+            sample_flow(fm, seeds, (0.0, 1.0, MAX_EPS_SAMPLES + 1))
+
+    def test_point_cap_is_inclusive(self, basis, monkeypatch):
+        fm = flow_map(basis[0])
+        monkeypatch.setattr(flows, "MAX_FLOW_POINTS", 6)
+        assert len(sample_flow(fm, [(0.0, 0.0, 0.0)] * 3, (0.0, 1.0, 2))) == 6
+        with pytest.raises(ExprError, match="at most 6 points, got 3 seeds x 3 eps values"):
+            sample_flow(fm, [(0.0, 0.0, 0.0)] * 3, (0.0, 1.0, 3))
