@@ -2,9 +2,10 @@
 of one-dimensional subalgebras.
 
 The adjoint action Ad(exp(s*X_t)) = exp(-s*ad X_t) is exponentiated exactly
-from the structure constants by ``linalg.mat_exp``.  It is the single source
-of truth; the published adjoint table is audited against it, mismatches
-reported rather than silently corrected.
+from the structure constants by ``linalg.mat_exp``, which proves it by its
+generating ODE, once per algebra and t.  It is the single source of truth;
+the published adjoint table is audited against it, mismatches reported
+rather than silently corrected.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .expr import (Expr, ExprError, Num, ZERO, ONE, batch_evaluator, checked, diff_atom,
-                   func, mul, sub, substitute)
-from .linalg import ExprMat, expr_matrix, identity_expr, mat_exp, mat_mul_expr
+from .expr import Expr, ExprError, Num, ZERO, ONE, batch_evaluator, func, mul, sub
+from .linalg import ExprMat, mat_exp
 from .spaces import s as S_PARAM
 from .vector_fields import StructureConstants, combo_text, commutator_table
 
@@ -27,46 +27,20 @@ __all__ = [
 ]
 
 
-@checked
 class AdjointMatrix(NamedTuple):
-    """Matrix of Ad(exp(s*X_t)) on coefficient vectors in the basis X1..X5.
-
-    Entries are exact expressions in the group parameter s.  Construction
-    verifies m(0) = I, a rational slope A = m'(0) and the ODE
-    m'(s) = A m(s), so m = exp(s*A), which obeys the group law and, by
-    Liouville's formula, has det m(s) = e^(s*tr A).
-    """
+    """Matrix of Ad(exp(s*X_t)) on coefficient vectors in the basis X1..X5:
+    exact expressions in the group parameter s, which ``linalg.mat_exp``
+    proved to be exp(-s*ad X_t)."""
 
     t: int
     entries: ExprMat
     labels: tuple[str, ...]
-
-    def _check(self):
-        if _at_zero(self.entries) != identity_expr(len(self.labels)):
-            raise ExprError(f"Ad matrix for t={self.t} is not the identity at s=0")
-        slope, generator = _slope_and_generator(self.entries)
-        if not all(isinstance(e, Num) for row in generator for e in row):
-            raise ExprError(f"Ad matrix for t={self.t} has a non-rational slope at s=0")
-        if mat_mul_expr(generator, self.entries) != slope:
-            raise ExprError(f"Ad matrix for t={self.t} does not solve m'(s) = m'(0) m(s)")
 
     def at(self, value: float) -> list[list[float]]:
         """Evaluate the matrix numerically at s = value."""
         if not math.isfinite(value):
             raise ExprError("adjoint parameter must be finite")
         return _entry_evaluator(self.entries)(value)
-
-
-def _at_zero(m: ExprMat) -> ExprMat:
-    return expr_matrix([[e if isinstance(e, Num) else substitute(e, {S_PARAM: ZERO})
-                         for e in row] for row in m])
-
-
-@functools.lru_cache(maxsize=64)
-def _slope_and_generator(m: ExprMat) -> tuple[ExprMat, ExprMat]:
-    """m'(s) and m'(0), for the construction check and ``adjoint_matrix``."""
-    slope = expr_matrix([[diff_atom(e, S_PARAM) for e in row] for row in m])
-    return slope, _at_zero(slope)
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,32 +61,28 @@ def _entry_evaluator(entries: ExprMat):
 
 
 def adjoint_matrix(t: int, constants: StructureConstants | None = None) -> AdjointMatrix:
-    """Ad(exp(s*X_t)) as an exact matrix in s (1-indexed t), checked to have
-    the slope -ad(X_t) at s = 0."""
+    """Ad(exp(s*X_t)) = exp(-s*ad X_t) as an exact matrix in s (1-indexed t),
+    generated by -ad(X_t).  Each is built and proven once per process,
+    algebra and t, on first use here, in ``adjoint_matrices`` or in
+    ``apply_adjoint``, and shared between callers."""
     if constants is None:
         constants = commutator_table()
-    neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
-    m = AdjointMatrix(t, mat_exp(neg_ad, S_PARAM), constants.labels)
-    if _slope_and_generator(m.entries)[1] != expr_matrix([[Num(v) for v in row] for row in neg_ad]):
-        raise ExprError(f"Ad matrix for t={t} is not generated by -ad(X_{t})")
-    return m
+    return _adjoint_matrix(constants, constants.basis_index(t) + 1)
 
 
 def adjoint_matrices(constants: StructureConstants | None = None) -> tuple[AdjointMatrix, ...]:
-    """Ad(exp(s*X_t)) for t = 1..dim.  Each is built and self-checked once per
-    process and algebra, on first use here or in ``apply_adjoint``; the
-    returned tuple is shared between callers and immutable."""
-    return _adjoint_matrices(constants if constants is not None else commutator_table())
-
-
-@functools.lru_cache(maxsize=8)
-def _adjoint_matrices(constants: StructureConstants) -> tuple[AdjointMatrix, ...]:
-    return tuple(_shared_matrix(constants, t) for t in range(1, constants.dim + 1))
+    """Ad(exp(s*X_t)) for t = 1..dim: the shared matrices of ``adjoint_matrix``."""
+    if constants is None:
+        constants = commutator_table()
+    return tuple(_adjoint_matrix(constants, t) for t in range(1, constants.dim + 1))
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_matrix(constants: StructureConstants, t: int) -> AdjointMatrix:
-    return adjoint_matrix(t, constants)
+def _adjoint_matrix(constants: StructureConstants, t: int) -> AdjointMatrix:
+    """The one cache, keyed by a t that ``basis_index`` has validated: True,
+    2.0 and Fraction(2) hash like 1 and 2."""
+    neg_ad = [[-v for v in row] for row in constants.adjoint_action(t)]
+    return AdjointMatrix(t, mat_exp(neg_ad, S_PARAM), constants.labels)
 
 
 # The adjoint table as printed in the published reference (row X_t, column
@@ -199,7 +169,7 @@ def apply_adjoint(word: Sequence[tuple[int, float]], v: Sequence[float]) -> tupl
     if len(vec) != constants.dim:
         raise ExprError(f"coefficient vectors have {constants.dim} components, got {len(vec)}")
     for t, value in reversed(list(word)):
-        m = _shared_matrix(constants, constants.basis_index(t) + 1).at(float(value))
+        m = _adjoint_matrix(constants, constants.basis_index(t) + 1).at(float(value))
         vec = [sum(m[i][j] * vec[j] for j in range(len(vec))) for i in range(len(m))]
     return tuple(vec)
 

@@ -247,16 +247,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
 
 def _cmd_verify_reduction(args, config: RunConfig) -> int:
     report = _reduction(args, config)[3]
-    payload = {
-        "generator": args.generator,
-        "max_discrepancy": report.max_discrepancy,
-        "seed": report.seed,
-        "n_functions": report.n_functions,
-        "n_points": report.n_points,
-        "tol": report.tol,
-        "passed": report.passed,
-    }
-    _render(payload, config)
+    _render({"generator": args.generator, **report._asdict()}, config)
     return 0 if report.passed else 1
 
 

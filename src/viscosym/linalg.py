@@ -1,9 +1,10 @@
-"""Small exact and symbolic matrix helpers.
+"""Exact linear algebra: one eliminator and one matrix exponential.
 
 Rational matrices are lists of lists of Fraction; symbolic matrices are
 tuples of tuples of Expr.  Exact linear systems are sparse rows, reduced
 by one eliminator, ``rref``, that keeps an incremental pivot table and
-touches only nonzero entries.
+touches only nonzero entries.  ``mat_exp`` builds every Ad matrix and flow
+exactly and proves each result by the ODE that generates it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .expr import Expr, ExprError, Num, ONE, ZERO, add, func, mul, pow_
+from .expr import (Expr, ExprError, Num, ONE, ZERO, add, diff_atom, func, mul, pow_, substitute,
+                   to_text)
 
 __all__ = [
     "ExprMat", "SpectrumError", "MAX_ROOT_SEARCH", "rref", "solve", "mat_exp",
-    "expr_matrix", "mat_mul_expr", "identity_expr",
 ]
 
 RatMat = list[list[Fraction]]
@@ -121,7 +122,10 @@ def mat_exp(a: RatMat, param: Expr, vec: Sequence[Expr] | None = None):
     only the vector exp(param*A) vec: r(B) for the integer matrix B = d*A and
     the Hermite interpolant r of e^(param*z/d) on B's spectrum (Moler & Van
     Loan, SIAM Rev. 45 (2003)), solved once per spectrum; eigenvalues of B
-    other than integers and pairs +-i*w raise SpectrumError."""
+    other than integers and pairs +-i*w raise SpectrumError.  The result is
+    proven before it is returned, as kernel identities: it is I (or vec) at
+    param = 0 and solves m' = A m, so by uniqueness of solutions of ODEs it
+    is exp(param*A) and nothing else; ExprError otherwise."""
     n = len(a)
     d = math.lcm(*[v.denominator for row in a for v in row])
     b = [[(j, int(v * d)) for j, v in enumerate(row) if v] for row in a]
@@ -143,23 +147,19 @@ def mat_exp(a: RatMat, param: Expr, vec: Sequence[Expr] | None = None):
             if v:
                 entries.setdefault(cell, []).append((Num(Fraction(v, den) if den > 1 else v), f))
     if vec is None:
-        return tuple(tuple(add(*[mul(q, f) for q, f in entries.get((r, c), ())])
-                           for c in range(n)) for r in range(n))
-    return tuple(add(*[mul(q, f, vec[c]) for c in range(n) for q, f in entries.get((r, c), ())])
-                 for r in range(n))
-
-
-def expr_matrix(rows: Sequence[Sequence[Expr]]) -> ExprMat:
-    return tuple(tuple(row) for row in rows)
-
-
-def identity_expr(n: int) -> ExprMat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_mul_expr(m1: ExprMat, m2: ExprMat) -> ExprMat:
-    """The product; a zero entry contributes no term, so sparse factors are cheap."""
-    columns = list(zip(*m2))
-    return tuple(tuple(add(*[mul(p, q) for p, q in zip(row, col)
-                             if p is not ZERO and q is not ZERO])
-                       for col in columns) for row in m1)
+        out = tuple(tuple(add(*[mul(q, f) for q, f in entries.get((r, c), ())])
+                          for c in range(n)) for r in range(n))
+        columns = list(zip(*out))
+        starts = [tuple(ONE if i == c else ZERO for i in range(n)) for c in range(n)]
+    else:
+        out = tuple(add(*[mul(q, f, vec[c]) for c in range(n) for q, f in entries.get((r, c), ())])
+                    for r in range(n))
+        columns, starts = [out], [tuple(vec)]
+    name = to_text(param)
+    for column, start in zip(columns, starts):
+        if tuple(substitute(e, {param: ZERO}) for e in column) != start:
+            raise ExprError(f"exp({name}*A) is not the identity at {name} = 0")
+        slope = tuple(add(*[mul(Num(Fraction(w, d)), column[j]) for j, w in row]) for row in b)
+        if tuple(diff_atom(e, param) for e in column) != slope:
+            raise ExprError(f"exp({name}*A) does not solve m' = A m")
+    return out

@@ -124,7 +124,8 @@ def basis_combination(coeffs: Sequence) -> Generator:
     """Rational linear combination of the standard basis, built and checked
     as one Generator."""
     terms = [(Num(Fraction(coeff)), gen) for coeff, gen in zip(coeffs, _standard_basis())]
-    return Generator(*[add(*[mul(c, gen.coefficients[k]) for c, gen in terms if c != ZERO])
+    return Generator(*[add(*[mul(c, gen.coefficients[k]) for c, gen in terms
+                             if c != ZERO and gen.coefficients[k] is not ZERO])
                        for k in range(5)])
 
 

@@ -1,13 +1,16 @@
-"""Shared fixtures and the random expression corpus used by the
-canonicalization and round-trip tests."""
+"""Shared fixtures, the random expression corpus used by the
+canonicalization and round-trip tests, and the faked interpolant that makes
+mutants of ``mat_exp``."""
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from viscosym import linalg
 from viscosym.expr import DomainEvalError, Expr, Num, add, func, mul, pow_
 from viscosym.spaces import base_space
 from viscosym.vector_fields import standard_basis, viscoelastic_pde
@@ -76,3 +79,11 @@ def random_expr(rng: random.Random, depth: int = 6) -> Expr:
         return func(fn, arg)
 
     return build(rng.randint(1, depth))
+
+
+def fake_interpolant(monkeypatch, mutant):
+    """Make ``mat_exp`` sum mutant(r, param) in place of r(param), the parts
+    (f, weights, den) of the interpolant of e^(param*z) on its spectrum."""
+    real = linalg._interpolant
+    monkeypatch.setattr(linalg, "_interpolant", lambda traces, d, param:
+                        mutant(functools.partial(real, traces, d), param))

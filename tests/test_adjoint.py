@@ -2,7 +2,6 @@
 
 import functools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +12,32 @@ from viscosym.adjoint import (AdjointMatrix, _entry_evaluator, adjoint_matrices,
                               apply_adjoint, audit_adjoint_table, equivalent, normalize)
 from viscosym.expr import (ExprError, Kind, Num, Sym, ZERO, ONE, add, diff_atom, eval_batch,
                            func, mul, neg, pow_, sub, substitute)
-from viscosym.linalg import SpectrumError, expr_matrix, mat_exp, mat_mul_expr
-from viscosym.spaces import f, s, t, x, y
+from viscosym.linalg import SpectrumError, mat_exp
+from viscosym.spaces import f, s, t, u, x, y
 from viscosym.vector_fields import Generator, commutator_table, standard_basis
+
+from conftest import fake_interpolant
 
 
 @pytest.fixture(scope="module")
 def matrices():
     return adjoint_matrices()
+
+
+def _neg_ad(t):
+    """-ad(X_t), the A of exp(s*A) = Ad(exp(s*X_t))."""
+    return [[-v for v in row] for row in commutator_table().adjoint_action(t)]
+
+
+def _shared(mats, others):
+    """Whether two tuples of Ad matrices hold the very same objects."""
+    return len(mats) == len(others) and all(m is o for m, o in zip(mats, others))
+
+
+def mat_mul_expr(m1, m2):
+    """The dense product of two symbolic matrices."""
+    return tuple(tuple(add(*[mul(p, q) for p, q in zip(row, col)]) for col in zip(*m2))
+                 for row in m1)
 
 
 def mat_mul_rat(m1, m2):
@@ -39,7 +56,7 @@ def _reference_exp_series(a, param):
     for k in range(1, 13):
         power = mat_mul_rat(power, a)
         if all(v == 0 for row in power for v in row):
-            return expr_matrix(out)
+            return tuple(map(tuple, out))
         factorial *= k
         coeff = pow_(param, Fraction(k))
         for i in range(n):
@@ -81,8 +98,9 @@ class TestCache:
     def test_default_algebra_is_built_once(self):
         assert commutator_table() is commutator_table()
         assert commutator_table(list(standard_basis())) is commutator_table()
-        assert adjoint_matrices() is adjoint_matrices()
-        assert adjoint_matrices(commutator_table()) is adjoint_matrices()
+        assert _shared(adjoint_matrices(), adjoint_matrices())
+        assert _shared(adjoint_matrices(commutator_table()), adjoint_matrices())
+        assert adjoint_matrix(4) is adjoint_matrices()[3]
 
     def test_sub_basis_has_its_own_algebra(self):
         basis = standard_basis()
@@ -91,14 +109,14 @@ class TestCache:
         assert center is not commutator_table()
         assert center.labels == ("X3", "X5")
         mats = adjoint_matrices(center)
-        assert mats is adjoint_matrices(center)
+        assert _shared(mats, adjoint_matrices(center))
+        assert adjoint_matrix(2, center) is mats[1]
         assert len(mats) == 2
         assert all(m.entries == ((ONE, ZERO), (ZERO, ONE)) for m in mats)
 
-    def test_single_matrix_is_not_taken_from_the_cache(self, matrices):
-        m4 = adjoint_matrix(4)
-        assert m4 is not matrices[3]
-        assert m4.entries == matrices[3].entries
+    def test_single_matrix_is_taken_from_the_cache(self, matrices):
+        assert adjoint_matrix(4) is matrices[3]
+        assert adjoint_matrix(4, commutator_table()) is matrices[3]
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 0.7, -1.3, math.pi / 2, 123.456, 1e300,
                                        5e-324])
@@ -119,18 +137,12 @@ class TestCache:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The t of each Ad matrix built from here on; the per-generator and
-    per-algebra caches start empty for this test only."""
+    """The A of each ``mat_exp`` call that builds an Ad matrix from here on;
+    the one cache of Ad matrices starts empty for this test only."""
     built = []
-    real = adjoint.adjoint_matrix
-
-    def counting(t, constants=None):
-        built.append(t)
-        return real(t, constants)
-
-    monkeypatch.setattr(adjoint, "adjoint_matrix", counting)
-    for name in ("_shared_matrix", "_adjoint_matrices"):
-        monkeypatch.setattr(adjoint, name, functools.lru_cache(getattr(adjoint, name).__wrapped__))
+    monkeypatch.setattr(adjoint, "mat_exp", lambda a, param: built.append(a) or mat_exp(a, param))
+    monkeypatch.setattr(adjoint, "_adjoint_matrix",
+                        functools.lru_cache(maxsize=64)(adjoint._adjoint_matrix.__wrapped__))
     return built
 
 
@@ -146,11 +158,13 @@ class TestLazyBuild:
 
     def test_class_3_builds_x1_and_x2_only(self, builds):
         assert [t for t, _ in normalize((3, -1, -2, -3, 0)).word] == [1, 2]
-        assert sorted(builds) == [1, 2]
+        assert builds == [_neg_ad(2), _neg_ad(1)]         # the last letter acts first
         normalize((1, 2, 0, 1, 0))
-        assert sorted(builds) == [1, 2]
+        assert builds == [_neg_ad(2), _neg_ad(1)]
         assert [m.t for m in adjoint_matrices()] == [1, 2, 3, 4, 5]
-        assert sorted(builds) == [1, 2, 3, 4, 5]
+        assert builds == [_neg_ad(t) for t in (2, 1, 3, 4, 5)]
+        assert adjoint_matrix(1) is adjoint_matrices()[0]
+        assert len(builds) == 5
 
     def test_the_matrices_apply_adjoint_used_are_the_shared_ones(self, monkeypatch):
         used = []
@@ -166,8 +180,7 @@ class TestLazyBuild:
 class TestExpSeries:
     @pytest.mark.parametrize("t", range(1, 6))
     def test_ad_matrices_match_reference(self, t):
-        neg_ad = [[-v for v in row] for row in commutator_table().adjoint_action(t)]
-        assert mat_exp(neg_ad, s) == _reference_exp_series(neg_ad, s)
+        assert mat_exp(_neg_ad(t), s) == _reference_exp_series(_neg_ad(t), s)
 
     @pytest.mark.parametrize("a", [
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],   # A^3 != 0, A^4 = 0
@@ -188,27 +201,10 @@ class TestExpSeries:
         [[Fraction(1, 3), 2, 0], [0, Fraction(1, 3), 0], [0, 0, -5]],
     ], ids=["jordan-at-1", "rational-diagonal", "rotation-jordan", "mixed", "mixed-rational"])
     def test_general_spectra_solve_the_generating_ode(self, a):
-        # m(0) = I and m' = A m: the checks every AdjointMatrix passes
+        # mat_exp has proven m(0) = I and m' = A m; the slope at 0 is A
         m = mat_exp(a, s)
-        AdjointMatrix(0, m, tuple(f"X{i}" for i in range(len(a))))
         assert [[substitute(diff_atom(e, s), {s: ZERO}) for e in row] for row in m] == \
             [[Num(v) for v in row] for row in a]
-
-
-class TestMatrixProducts:
-    """The product skips zero entries; dense triple loops are the reference."""
-
-    def test_sparse_products_match_dense_loops(self):
-        rng = random.Random(7)
-        pool = [0, 0, 0, 1, -1, Fraction(3, 2)]
-        for n, k, p in [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 2, 3)]:
-            a = [[Fraction(rng.choice(pool)) for _ in range(k)] for _ in range(n)]
-            b = [[Fraction(rng.choice(pool)) for _ in range(p)] for _ in range(k)]
-            ea = expr_matrix([[mul(Num(v), func("sin", s)) for v in row] for row in a])
-            eb = expr_matrix([[add(Num(v), s) if v else ZERO for v in row] for row in b])
-            assert mat_mul_expr(ea, eb) == tuple(
-                tuple(add(*[mul(ea[i][j], eb[j][c]) for j in range(k)]) for c in range(p))
-                for i in range(n))
 
 
 class TestMatrices:
@@ -296,59 +292,82 @@ class TestMatrices:
 _S2 = Sym("s2", Kind.PARAMETER, 99)   # second group parameter of the oracle
 
 
+# The mutants of exp(s*A), made by faking the interpolant r(param), the
+# parts (f, weights, den) that mat_exp sums
+def _reversed(r, param):                 # exp(-s*A)
+    return r(neg(param))
+
+
+def _double_speed(r, param):             # exp(2s*A)
+    return r(mul(Num(2), param))
+
+
+def _plus_one(r, param):                 # exp(s*A) + I: 2I at s = 0
+    return r(param) + ((ONE, ((0, 1),), 1),)
+
+
+def _times_exp(r, param):                # e^s exp(s*A), so m' = (A + I) m
+    return tuple((mul(func("exp", param), fn), weights, den) for fn, weights, den in r(param))
+
+
+NOT_IDENTITY = "exp(s*A) is not the identity at s = 0"
+NOT_A_SOLUTION = "exp(s*A) does not solve m' = A m"
+
+
+def _rejected(monkeypatch, mutant, a, message):
+    """mat_exp with the interpolant faked by the mutant raises exactly this
+    message for exp(s*A), the matrix, and for exp(s*A) v, a vector."""
+    fake_interpolant(monkeypatch, mutant)
+    for vec in (None, (x, y, t, u, f)[:len(a)]):
+        with pytest.raises(ExprError) as caught:
+            mat_exp(a, s, vec)
+        assert str(caught.value) == message
+
+
+def _obeys_group_law(entries):
+    """m(s) m(s2) = m(s + s2), symbolically."""
+    shifted = [[substitute(e, {s: add(s, _S2)}) for e in row] for row in entries]
+    second = [[substitute(e, {s: _S2}) for e in row] for row in entries]
+    return tuple(map(tuple, shifted)) == mat_mul_expr(entries, second)
+
+
 class TestGeneratingODE:
-    """Construction checks m(0) = I and m' = m'(0) m; ``adjoint_matrix``
-    also checks m'(0) = -ad(X_t).  The group law is the oracle."""
+    """``mat_exp`` proves m(0) = I and m' = A m for the A it was given, in
+    matrix and vector form, so only exp(s*A) passes; Ad matrices pass it
+    with A = -ad(X_t).  The group law is the oracle."""
 
     @pytest.mark.parametrize("t", range(1, 6))
     def test_group_law_oracle(self, matrices, t):
-        entries = matrices[t - 1].entries
-        shifted = [[substitute(e, {s: add(s, _S2)}) for e in row] for row in entries]
-        second = [[substitute(e, {s: _S2}) for e in row] for row in entries]
-        assert expr_matrix(shifted) == mat_mul_expr(entries, expr_matrix(second))
+        assert _obeys_group_law(matrices[t - 1].entries)
 
     def test_reversed_parameter_is_rejected(self, monkeypatch):
         # m(-s) = exp(s * ad) is a one-parameter group with m(0) = I, so only
         # the slope test against -ad(X_4) tells it apart
-        monkeypatch.setattr(adjoint, "mat_exp", lambda a, param: mat_exp(a, neg(param)))
-        reversed_entries = adjoint.mat_exp(
-            [[-v for v in row] for row in commutator_table().adjoint_action(4)], s)
-        AdjointMatrix(4, reversed_entries, commutator_table().labels)   # its own ODE holds
-        with pytest.raises(ExprError, match="not generated by -ad"):
-            adjoint_matrix(4)
+        _rejected(monkeypatch, _reversed, _neg_ad(4), NOT_A_SOLUTION)
 
-    def test_not_identity_at_zero(self, matrices):
-        entries = matrices[3].entries
-        bumped = ((add(entries[0][0], ONE),) + entries[0][1:],) + entries[1:]
-        with pytest.raises(ExprError, match="identity at s=0"):
-            AdjointMatrix(4, bumped, matrices[3].labels)
+    def test_not_identity_at_zero(self, monkeypatch):
+        _rejected(monkeypatch, _plus_one, _neg_ad(4), NOT_IDENTITY)
 
-    def test_non_rational_slope(self, matrices):
-        entries = matrices[3].entries
-        bent = ((add(ONE, mul(x, s)),) + entries[0][1:],) + entries[1:]
-        with pytest.raises(ExprError, match="non-rational slope"):
-            AdjointMatrix(4, bent, matrices[3].labels)
+    def test_wrong_speed_is_rejected(self, monkeypatch):
+        # cos(2s), sin(2s) is the identity at 0, and a one-parameter group
+        _rejected(monkeypatch, _double_speed, _neg_ad(4), NOT_A_SOLUTION)
+        _rejected(monkeypatch, _double_speed, _neg_ad(1), NOT_A_SOLUTION)
 
-    def test_wrong_speed_is_rejected(self, matrices):
-        # cos(2s), sin(2s) is the identity at 0 with a rational slope, but
-        # solves m' = m'(0) m only together with the matching entries
-        entries = [list(row) for row in matrices[3].entries]
-        entries[0][0] = func("cos", mul(Num(2), s))
-        entries[0][1] = func("sin", mul(Num(2), s))
-        with pytest.raises(ExprError, match="does not solve"):
-            AdjointMatrix(4, expr_matrix(entries), matrices[3].labels)
+    def test_not_unimodular(self, monkeypatch):
+        # e^s Ad(exp(s X4)) is the identity at 0 and a one-parameter group,
+        # generated by I - ad(X_4), with det m(s) = e^(5s)
+        _rejected(monkeypatch, _times_exp, _neg_ad(4), NOT_A_SOLUTION)
 
-    def test_not_unimodular(self, matrices, monkeypatch):
-        # exp(s) in the X5 diagonal is the identity at 0 and solves
-        # m' = m'(0) m, so it is an Ad matrix of something (det m(s) = e^s);
-        # only the slope test against -ad(X_4) tells it from Ad(X4)
-        entries = [list(row) for row in matrices[3].entries]
-        entries[4][4] = func("exp", s)
-        bent = expr_matrix(entries)
-        AdjointMatrix(4, bent, matrices[3].labels)
-        monkeypatch.setattr(adjoint, "mat_exp", lambda a, param: bent)
-        with pytest.raises(ExprError, match="not generated by -ad"):
-            adjoint_matrix(4)
+    def test_the_mutants_obey_the_group_law(self, matrices):
+        # so the group law alone cannot tell them from exp(s*A)
+        m4 = matrices[3].entries
+        for speed in (neg(s), mul(Num(2), s)):
+            assert _obeys_group_law([[substitute(e, {s: speed}) for e in row] for row in m4])
+
+    def test_a_faithful_fake_passes(self, matrices, monkeypatch):
+        # the faking itself raises nothing
+        fake_interpolant(monkeypatch, lambda r, param: r(param))
+        assert mat_exp(_neg_ad(4), s) == matrices[3].entries
 
 
 class TestAudit:

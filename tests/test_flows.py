@@ -3,6 +3,7 @@ solutions, sampling."""
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from viscosym import flows
 from viscosym.adjoint import normalize
-from viscosym.expr import (ExprError, Func, Kind, Num, Sym, ZERO, add, eval_numeric, func,
+from viscosym.expr import (ExprError, Func, Kind, Num, ONE, Sym, ZERO, add, eval_numeric, func,
                            mul, neg, pow_, rebuild, sub, substitute, term_map)
 from viscosym.flows import (MAX_EPS_SAMPLES, FlowMap, FlowSample, NonAffineError, flow_map,
                             sample_flow, samples_to_csv)
@@ -21,6 +22,8 @@ from viscosym.linalg import SpectrumError, mat_exp
 from viscosym.spaces import a, b, base_space, eps, f, t, u, x, y
 from viscosym.vector_fields import (Generator, PDEInstance, basis_combination,
                                     parse_basis_combination, viscoelastic_pde)
+
+from conftest import fake_interpolant
 
 BASE = base_space()
 
@@ -35,6 +38,7 @@ class TestFlowMap:
     def test_translation(self, basis):
         fm = flow_map(basis[0])
         assert (fm.x_eps, fm.y_eps, fm.t_eps) == (add(x, eps), y, t)
+        assert fm == FlowMap(add(x, eps), y, t)        # a plain record of the three
 
     def test_rotation_with_time_translation(self, basis):
         fm = flow_map(basis[3] + basis[2])
@@ -150,14 +154,12 @@ class TestFlowCache:
 
     def test_fields_with_one_base_part_share_a_flow(self):
         # class-3 representatives X4 + c1*X3 + c2*X5 that differ only in c2,
-        # and labels, reach the one flow of the base-space part
+        # and labels, reach the one flow of the unlabelled base-space part
         base = Generator(xi1=y, xi2=neg(x), xi3=Num(-2))
         fields = [parse_basis_combination(text) for text in
                   ("X4 - 2*X3", "X4 - 2*X3 + 3*X5", "X4 - 2*X3 - X5/2")]
         fields += [Generator(xi1=y, xi2=neg(x), xi3=Num(-2), label=label) for label in "PQ"]
         assert {id(flow_map(v)) for v in fields} == {id(flow_map(base))}
-        assert flow_map(fields[1]).generator == base
-        assert flow_map(fields[1]).generator.label is None
 
     def test_errors_are_raised_on_every_call(self):
         non_affine = Generator(xi1=BASE.parse("x^2"))
@@ -293,29 +295,54 @@ def _obeys_composition_law(components):
     return composed == tuple(substitute(c, {eps: add(eps, _DELTA)}) for c in components)
 
 
+def _mutant_flow(monkeypatch, mutant, label):
+    """The flow of a basis combination, built past the cache, with
+    ``mat_exp``'s interpolant faked by the mutant."""
+    fake_interpolant(monkeypatch, mutant)
+    v = parse_basis_combination(label)
+    return flows._flow_map.__wrapped__(v.xi1, v.xi2, v.xi3)
+
+
+def _raises(message):
+    return pytest.raises(ExprError, match=f"^{re.escape(message)}$")
+
+
+NOT_IDENTITY = "exp(eps*A) is not the identity at eps = 0"
+NOT_A_SOLUTION = "exp(eps*A) does not solve m' = A m"
+
+
 class TestFlowEquation:
-    """Construction checks the identity at eps = 0 and the flow equation
-    d/deps phi = xi(phi); the composition law is the oracle."""
+    """``mat_exp`` proves the flow exp(eps*M) (x, y, t, 1) by its value at
+    eps = 0 and the flow equation d/deps phi = M phi, and M is checked to
+    rebuild (xi1, xi2, xi3); the composition law is the oracle."""
 
     # one representative of each class of the optimal system, off-center
     # rotations included
-    @pytest.mark.parametrize("label", ["X1 + 2*X3 - X5", "X2 - X3/2 + 3*X5",
-                                       "X4 + X1 + 2*X2 + X3 - X5", "X3 + 2*X5", "X5"])
+    @pytest.mark.parametrize("label", CLASS_REPRESENTATIVES)
     def test_composition_law_oracle(self, label):
         assert _obeys_composition_law(flow_map(parse_basis_combination(label)).components)
 
-    def test_wrong_direction_rotation_is_rejected(self, basis):
-        with pytest.raises(ExprError, match="flow equation"):
-            FlowMap(basis[3], BASE.parse("x*cos(eps) - y*sin(eps)"),
-                    BASE.parse("y*cos(eps) + x*sin(eps)"), t)
+    def test_wrong_direction_rotation_is_rejected(self, monkeypatch):
+        with _raises(NOT_A_SOLUTION):
+            _mutant_flow(monkeypatch, lambda r, param: r(neg(param)), "X4 + X3")
 
-    def test_double_speed_translation_is_rejected(self, basis):
-        with pytest.raises(ExprError, match="flow equation"):
-            FlowMap(basis[0], BASE.parse("x + 2*eps"), y, t)
+    def test_double_speed_translation_is_rejected(self, monkeypatch):
+        with _raises(NOT_A_SOLUTION):
+            _mutant_flow(monkeypatch, lambda r, param: r(mul(Num(2), param)), "X1")
 
-    def test_identity_at_zero_is_required(self, basis):
-        with pytest.raises(ExprError, match="identity at eps = 0"):
-            FlowMap(basis[0], BASE.parse("x + eps + 1"), y, t)
+    def test_identity_at_zero_is_required(self, monkeypatch):
+        with _raises(NOT_IDENTITY):
+            _mutant_flow(monkeypatch, lambda r, param: r(param) + ((ONE, ((0, 1),), 1),), "X1")
+
+    def test_the_matrix_must_rebuild_the_field(self, monkeypatch):
+        # the flow is proven against M, so M read from (xi1, xi2, xi3) must be
+        # the field: a reading that drops a term is refused
+        real = flows.term_map
+        monkeypatch.setattr(flows, "term_map",
+                            lambda e: {k: v for k, v in real(e).items() if k != ()})
+        with _raises("xi1 is not rebuilt from its affine coefficients"):
+            flows._flow_map.__wrapped__(add(x, Num(1)), ZERO, ZERO)
+        assert flows._flow_map.__wrapped__(x, ZERO, ZERO) == flow_map(Generator(xi1=x))
 
     def test_rejected_maps_are_one_parameter_groups(self):
         # the composition law alone cannot tell them from the true flows

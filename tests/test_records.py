@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from viscosym import vector_fields
-from viscosym.adjoint import adjoint_matrices, normalize
+from viscosym.adjoint import adjoint_matrices, adjoint_matrix, normalize
 from viscosym.cli import RunConfig
 from viscosym.expr import (ExprError, Jet, Kind, Num, Pow, Sym, Unknown, UnknownFn, ZERO,
                            ONE, add, atoms, diff_atom, mul, sub, substitute, term_map,
@@ -117,11 +117,13 @@ class TestValueEquality:
     def test_cached_algebra_is_returned(self):
         constants = commutator_table()
         assert commutator_table() is constants
-        assert adjoint_matrices() is adjoint_matrices(constants)
+        mats = adjoint_matrices()
+        assert all(m is n for m, n in zip(adjoint_matrices(constants), mats))
         # an equal tensor built apart is the same cache key
         copy = StructureConstants(constants.c, constants.labels)
         assert copy == constants and hash(copy) == hash(constants)
-        assert adjoint_matrices(copy) is adjoint_matrices()
+        assert all(m is n for m, n in zip(adjoint_matrices(copy), mats))
+        assert adjoint_matrix(4, copy) is mats[3]
 
     def test_records_are_named_tuples(self):
         result = normalize((0, 0, 2, 1, 3))
